@@ -3,8 +3,9 @@
 Commands: analyze, bound, simulate, freqdep, concentrate, aggregate.
 Every CSV starts with #-prefixed provenance lines (tool version, config
 hash, seed) and identical (config, seed) runs reproduce outputs byte for
-byte.  Exit codes: 0 success, 2 config error, 3 singularity/precondition
-error, 4 instability refusal, 5 I/O error.
+byte.  Exit codes: 0 success, 2 config error (including any ValueError
+from an out-of-range config value), 3 singularity/precondition error,
+4 instability refusal, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -79,23 +80,17 @@ def _build_net(cfg: dict, config_dir: Path) -> NetworkModel:
         lap = _build_laplacian(net_cfg["laplacian"], config_dir)
     except KeyError as exc:
         raise ConfigError(f"config missing net section field: {exc}") from exc
-    try:
-        return NetworkModel(nodes, coupling, lap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return NetworkModel(nodes, coupling, lap)
 
 
 def _build_region(cfg: dict) -> FrequencyRegion:
     r = cfg.get("region", {})
-    try:
-        return FrequencyRegion(
-            kind=r.get("kind", "vertical_segment"),
-            sigma=r.get("sigma", 0.0),
-            omega_range=tuple(r.get("omega_range", (-1.0, 1.0))),
-            resolution=r.get("resolution", 33),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return FrequencyRegion(
+        kind=r.get("kind", "vertical_segment"),
+        sigma=r.get("sigma", 0.0),
+        omega_range=tuple(r.get("omega_range", (-1.0, 1.0))),
+        resolution=r.get("resolution", 33),
+    )
 
 
 def _build_input(cfg: dict, n: int) -> InputSignal:
@@ -104,10 +99,7 @@ def _build_input(cfg: dict, n: int) -> InputSignal:
     if shape is None:
         shape = [0.0] * n
         shape[min(1, n - 1)] = -1.0
-    try:
-        return InputSignal(i.get("family", "step"), shape, i.get("alpha", 0.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return InputSignal(i.get("family", "step"), shape, i.get("alpha", 0.0))
 
 
 def _build_ensemble(cfg: dict, seed: int) -> ensemble.EnsembleSpec:
@@ -170,20 +162,13 @@ def cmd_analyze(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     region = _build_region(cfg)
     alphas = cfg.get("sweep", {}).get("alphas")
-    collected = []
     if alphas:
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise NetcohError(f"alphas must be strictly increasing: {alphas}")
-        M1, M2 = netfreq.estimate_majorants(net, region)
-        for alpha in alphas:
-            scaled = net.scaled(alpha)
-            reports, _ = netfreq.sweep_region(scaled, region, M1=M1, M2=M2)
-            lam2 = scaled.laplacian.lambda2
-            collected.extend((alpha, lam2, r) for r in reports)
+        rows = netfreq.connectivity_sweep(net, region, alphas)
+        collected = [(row.alpha, row.lambda2, r)
+                     for row in rows for r in row.reports]
     else:
         reports, _ = netfreq.sweep_region(net, region)
-        lam2 = net.laplacian.lambda2
-        collected.extend((1.0, lam2, r) for r in reports)
+        collected = [(1.0, net.laplacian.lambda2, r) for r in reports]
     _write_csv(out_dir / "sweep.csv", SWEEP_HEADER, _sweep_rows(collected),
                _provenance(digest, seed))
     return ["sweep.csv"]
@@ -274,17 +259,11 @@ def cmd_aggregate(cfg, digest, seed, out_dir, config_dir):
     region = _build_region(cfg)
     aggr = netfreq.aggregate_dynamics(net)
     (out_dir / "aggregate.txt").write_text(aggr.serialize() + "\n")
-    rows = []
-    gbar = netfreq.coherent_dynamics(net)
-    for s in region.points():
-        T = netfreq.eval_T(net, s)
-        coh = (gbar(s) / net.n) * np.ones((net.n, net.n))
-        rows.append((
-            s.real, s.imag,
-            float(np.linalg.norm(T, 2)),
-            abs(net.n * aggr(s)),
-            float(np.linalg.norm(T - coh, 2)),
-        ))
+    reports, _ = netfreq.sweep_region(net, region)
+    rows = [(r.s.real, r.s.imag,
+             float(np.linalg.norm(netfreq.eval_T(net, r.s), 2)),
+             abs(net.n * aggr(r.s)), r.measured)
+            for r in reports]
     _write_csv(out_dir / "aggregate_compare.csv",
                "s_re,s_im,t_norm,coherent_gain,incoherence", rows,
                _provenance(digest, seed))
@@ -325,6 +304,9 @@ def run(command: str, config_path: str, seed: int | None = None,
         kind = type(exc).__name__.removesuffix("Error")
         print(f"error: kind={kind} detail={exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:
+        print(f"error: kind=config detail={exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: kind=io detail={exc}", file=sys.stderr)
         return EXIT_IO

@@ -7,12 +7,13 @@ per-coefficient distributions.  Sampling uses counter-based RNG streams
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDistributionError, NotAffineError
+from .errors import InvalidDistributionError, NotAffineError, require_increasing
 from .graph import builder
 from .netfreq import FrequencyRegion, NetworkModel, eval_T
 from .ratfun import RationalFunction, harmonic_mean
@@ -245,11 +246,6 @@ class ConcentrationResult:
         return [float(np.median(d)) for d in self.deviations]
 
 
-def _check_sizes(sizes):
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"sizes must be strictly increasing: {sizes}")
-
-
 def _ghat_on_grid(spec, region):
     try:
         ghat = expected_coherent(spec, "analytic_affine")
@@ -262,6 +258,28 @@ def _ghat_on_grid(spec, region):
     return pts, vals, certified
 
 
+def _run_concentration(spec, region, sizes, trials, epsilon, deviation,
+                       **metadata) -> ConcentrationResult:
+    """Sizes x trials loop shared by both experiments.
+
+    deviation(nodes, pts, ghat_vals) gives one trial's grid-sup deviation.
+    """
+    require_increasing("sizes", sizes)
+    pts, ghat_vals, certified = _ghat_on_grid(spec, region)
+    deviations = [
+        [float(deviation(sample_nodes(spec, n, _trial_stream(size_idx, trial)),
+                         pts, ghat_vals))
+         for trial in range(trials)]
+        for size_idx, n in enumerate(sizes)
+    ]
+    probs = [float(np.mean(np.asarray(d) >= epsilon)) for d in deviations]
+    return ConcentrationResult(
+        sizes=list(sizes), deviations=deviations, epsilon=epsilon,
+        prob_estimates=probs,
+        metadata={"ghat_uniform_continuity_certified": certified, **metadata},
+    )
+
+
 def concentration_experiment(spec: EnsembleSpec, region: FrequencyRegion,
                              sizes: list[int], trials: int, epsilon: float,
                              ) -> ConcentrationResult:
@@ -270,24 +288,12 @@ def concentration_experiment(spec: EnsembleSpec, region: FrequencyRegion,
     Per (size, trial): draw nodes, form the harmonic mean, take the sup of
     |gbar_n - ghat| over the region grid.
     """
-    _check_sizes(sizes)
-    pts, ghat_vals, certified = _ghat_on_grid(spec, region)
-    deviations = []
-    for size_idx, n in enumerate(sizes):
-        per_trial = []
-        for trial in range(trials):
-            nodes = sample_nodes(spec, n, stream_index=_trial_stream(size_idx, trial))
-            gbar_n = harmonic_mean(nodes)
-            dev = max(abs(gbar_n(s) - gv) for s, gv in zip(pts, ghat_vals))
-            per_trial.append(float(dev))
-        deviations.append(per_trial)
-    probs = [float(np.mean(np.asarray(d) >= epsilon)) for d in deviations]
-    return ConcentrationResult(
-        sizes=list(sizes), deviations=deviations, epsilon=epsilon,
-        prob_estimates=probs,
-        metadata={"ghat_uniform_continuity_certified": certified,
-                  "metric": "sup |gbar_n - ghat|"},
-    )
+    def deviation(nodes, pts, ghat_vals):
+        gbar_n = harmonic_mean(nodes)
+        return max(abs(gbar_n(s) - gv) for s, gv in zip(pts, ghat_vals))
+
+    return _run_concentration(spec, region, sizes, trials, epsilon, deviation,
+                              metric="sup |gbar_n - ghat|")
 
 
 def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
@@ -298,31 +304,22 @@ def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
     Deviation metric is sup_S ||T_n(s, w) - (1/n) ghat(s) 11^T|| with the
     coupling absorbed into L (f = 1).
     """
-    _check_sizes(sizes)
-    pts, ghat_vals, certified = _ghat_on_grid(spec, region)
     unit = RationalFunction([1.0], [1.0])
-    deviations = []
-    for size_idx, n in enumerate(sizes):
-        L = builder("complete", n, 1.0)
-        per_trial = []
-        for trial in range(trials):
-            nodes = sample_nodes(spec, n, stream_index=_trial_stream(size_idx, trial))
-            net = NetworkModel(nodes, unit, L)
-            dev = 0.0
-            for s, gv in zip(pts, ghat_vals):
-                T = eval_T(net, s)
-                coh = (gv / n) * np.ones((n, n))
-                dev = max(dev, float(np.linalg.norm(T - coh, 2)))
-            per_trial.append(dev)
-        deviations.append(per_trial)
-    probs = [float(np.mean(np.asarray(d) >= epsilon)) for d in deviations]
-    return ConcentrationResult(
-        sizes=list(sizes), deviations=deviations, epsilon=epsilon,
-        prob_estimates=probs,
-        metadata={"ghat_uniform_continuity_certified": certified,
-                  "metric": "sup ||T_n - (1/n) ghat 11^T||",
-                  "laplacian_family": "complete"},
-    )
+    complete = functools.cache(functools.partial(builder, "complete"))
+
+    def deviation(nodes, pts, ghat_vals):
+        n = len(nodes)
+        net = NetworkModel(nodes, unit, complete(n))
+        dev = 0.0
+        for s, gv in zip(pts, ghat_vals):
+            T = eval_T(net, s)
+            coh = (gv / n) * np.ones((n, n))
+            dev = max(dev, float(np.linalg.norm(T - coh, 2)))
+        return dev
+
+    return _run_concentration(spec, region, sizes, trials, epsilon, deviation,
+                              metric="sup ||T_n - (1/n) ghat 11^T||",
+                              laplacian_family="complete")
 
 
 def _trial_stream(size_idx: int, trial: int) -> int:

@@ -71,8 +71,14 @@ class RegionContainsSingularityError(NetcohError):
         self.root = root
 
 
-class NotIncreasingError(NetcohError):
-    pass
+class NotIncreasingError(NetcohError, ValueError):
+    """A sequence that must be strictly increasing is not."""
+
+
+def require_increasing(name: str, values) -> None:
+    """Raise NotIncreasingError unless values is strictly increasing."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise NotIncreasingError(f"{name} must be strictly increasing: {values}")
 
 
 class NotAPoleOfFError(NetcohError):

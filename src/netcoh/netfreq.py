@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .errors import (
     InvalidMajorantsError,
     NodeZeroAtSError,
     NotAPoleOfFError,
-    NotIncreasingError,
     RegionContainsSingularityError,
     SingularAtSError,
+    require_increasing,
 )
 from .graph import LaplacianMatrix
 from .ratfun import RationalFunction, harmonic_mean
@@ -75,6 +76,8 @@ class NetworkModel:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "laplacian", laplacian)
+        # filled on first use and shared with every copy over the same nodes
+        object.__setattr__(self, "_gbar", [])
 
     @property
     def n(self) -> int:
@@ -84,8 +87,17 @@ class NetworkModel:
     def is_homogeneous(self) -> bool:
         return all(g == self.nodes[0] for g in self.nodes[1:])
 
+    @property
+    def gbar(self) -> RationalFunction:
+        """Harmonic mean of the nodes, computed exactly at most once."""
+        if not self._gbar:
+            self._gbar.append(harmonic_mean(self.nodes))
+        return self._gbar[0]
+
     def with_laplacian(self, laplacian: LaplacianMatrix) -> "NetworkModel":
-        return NetworkModel(self.nodes, self.coupling, laplacian)
+        net = NetworkModel(self.nodes, self.coupling, laplacian)
+        object.__setattr__(net, "_gbar", self._gbar)
+        return net
 
     def scaled(self, alpha: float) -> "NetworkModel":
         return self.with_laplacian(self.laplacian.scale(alpha))
@@ -190,23 +202,17 @@ def _checked_inverse(M: np.ndarray, s: complex) -> np.ndarray:
 
 def coherent_dynamics(net: NetworkModel) -> RationalFunction:
     """gbar(s), the harmonic mean of the node dynamics."""
-    return harmonic_mean(net.nodes)
+    return net.gbar
 
 
 def aggregate_dynamics(net: NetworkModel) -> RationalFunction:
     """g_aggr(s) = (sum g_i^{-1}(s))^{-1} = gbar(s)/n, exactly."""
-    acc = None
-    for g in net.nodes:
-        inv = g.reciprocal()
-        acc = inv if acc is None else acc + inv
-    return acc.reciprocal()
+    return net.gbar.scale(Fraction(1, net.n))
 
 
-def incoherence(net: NetworkModel, s: complex,
-                gbar: RationalFunction | None = None) -> IncoherenceReport:
+def incoherence(net: NetworkModel, s: complex) -> IncoherenceReport:
     """Spectral norm of T(s) - (1/n) gbar(s) 11^T."""
-    gbar = coherent_dynamics(net) if gbar is None else gbar
-    gbar_v = gbar(s)
+    gbar_v = net.gbar(s)
     if not cmath.isfinite(gbar_v):
         raise CoherentPoleAtSError(
             f"s={s} is a pole of the coherent dynamics; measure undefined"
@@ -219,17 +225,16 @@ def incoherence(net: NetworkModel, s: complex,
     return IncoherenceReport(s=s, measured=measured, effective_connectivity=eff)
 
 
-def lemma_bound(net: NetworkModel, s: complex, M1: float, M2: float,
-                gbar: RationalFunction | None = None) -> IncoherenceReport:
+def lemma_bound(net: NetworkModel, s: complex,
+                M1: float, M2: float) -> IncoherenceReport:
     """Incoherence report with the norm bound (M1 M2 + 1)^2 / (|f| l2 - M2 - M1 M2^2).
 
     M1 must majorize |gbar(s)| and M2 must majorize max_i |g_i^{-1}(s)|;
     the bound is populated only when |f(s)| lambda_2 strictly exceeds
     M2 + M1 M2^2.
     """
-    gbar = coherent_dynamics(net) if gbar is None else gbar
-    rep = incoherence(net, s, gbar=gbar)
-    gbar_mag = abs(gbar(s))
+    rep = incoherence(net, s)
+    gbar_mag = abs(net.gbar(s))
     ginv_max = max(abs(v) for v in _node_inverse_values(net, s))
     tol = 1e-9
     if M1 < gbar_mag * (1 - tol) or M2 < ginv_max * (1 - tol):
@@ -257,7 +262,7 @@ def estimate_majorants(net: NetworkModel,
     The region must avoid poles of gbar and zeros of every g_i; a violating
     root is reported via RegionContainsSingularityError.
     """
-    gbar = coherent_dynamics(net)
+    gbar = net.gbar
     for p in gbar.poles():
         if region.contains(p):
             raise RegionContainsSingularityError(
@@ -282,22 +287,14 @@ def sweep_region(net: NetworkModel, region: FrequencyRegion,
 
     When majorants are supplied each report carries the norm bound.
     """
-    gbar = coherent_dynamics(net)
     desc = region.describe()
     reports = []
     for s in region.points():
         if M1 is not None and M2 is not None:
-            rep = lemma_bound(net, s, M1, M2, gbar=gbar)
+            rep = lemma_bound(net, s, M1, M2)
         else:
-            rep = incoherence(net, s, gbar=gbar)
-        reports.append(
-            IncoherenceReport(
-                s=rep.s, measured=rep.measured,
-                effective_connectivity=rep.effective_connectivity,
-                M1=rep.M1, M2=rep.M2, bound=rep.bound,
-                bound_valid=rep.bound_valid, grid=desc,
-            )
-        )
+            rep = incoherence(net, s)
+        reports.append(replace(rep, grid=desc))
     sup = max(r.measured for r in reports)
     return reports, sup
 
@@ -308,17 +305,17 @@ class ConnectivityRow:
     lambda2: float
     sup_incoherence: float
     sup_bound: float | None
+    reports: list[IncoherenceReport] = field(repr=False)
 
 
 def connectivity_sweep(net: NetworkModel, region: FrequencyRegion,
                        alphas: list[float]) -> list[ConnectivityRow]:
-    """Sup incoherence and sup bound per Laplacian scaling alpha.
+    """Sup incoherence, sup bound and per-point reports per Laplacian scaling.
 
     Majorants are fixed once from the unscaled node dynamics; scaling L
     leaves gbar and the g_i untouched.
     """
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise NotIncreasingError(f"alphas must be strictly increasing: {alphas}")
+    require_increasing("alphas", alphas)
     M1, M2 = estimate_majorants(net, region)
     rows = []
     for alpha in alphas:
@@ -326,7 +323,8 @@ def connectivity_sweep(net: NetworkModel, region: FrequencyRegion,
         reports, sup = sweep_region(scaled, region, M1=M1, M2=M2)
         bounds = [r.bound for r in reports if r.bound_valid]
         sup_bound = max(bounds) if len(bounds) == len(reports) else None
-        rows.append(ConnectivityRow(alpha, scaled.laplacian.lambda2, sup, sup_bound))
+        rows.append(ConnectivityRow(alpha, scaled.laplacian.lambda2, sup,
+                                    sup_bound, reports))
     return rows
 
 
@@ -347,11 +345,10 @@ def pole_approach_sweep(net: NetworkModel, pole_of_f: complex,
     if not any(abs(p - pole_of_f) < 1e-7 for p in f_poles):
         raise NotAPoleOfFError(f"{pole_of_f} is not a pole of the coupling")
     d = direction / abs(direction)
-    gbar = coherent_dynamics(net)
     rows = []
     for r in radii:
         s = pole_of_f + r * d
-        rows.append((float(r), incoherence(net, s, gbar=gbar).measured))
+        rows.append((float(r), incoherence(net, s).measured))
     return rows
 
 

@@ -14,6 +14,12 @@ SWING_NET = {
     "laplacian": {"builder": {"kind": "complete", "n": 3, "weight": 2.0}},
 }
 
+CONCENTRATE_ENSEMBLE = {
+    "family": "swing",
+    "params": {"m": {"kind": "uniform", "lo": 1, "hi": 2},
+               "d": {"kind": "uniform", "lo": 1, "hi": 2}},
+}
+
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -62,6 +68,15 @@ class TestAnalyze:
         cfg = {"net": SWING_NET, "sweep": {"alphas": [10.0, 10.0]}}
         path = write_cfg(tmp_path, cfg)
         assert run("analyze", path, out=str(tmp_path)) == 3
+
+    def test_alpha_sweep_one_exact_sum(self, tmp_path, exact_additions):
+        cfg = {
+            "net": SWING_NET,
+            "region": {"resolution": 3},
+            "sweep": {"alphas": [10.0, 100.0, 1000.0, 10000.0]},
+        }
+        assert run("analyze", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+        assert len(exact_additions) == 2
 
 
 class TestBound:
@@ -178,6 +193,11 @@ class TestAggregate:
         assert read_artifact(tmp_path, "aggregate.txt").strip() == \
             "num=[1], den=[7, 3]"
 
+    def test_one_exact_sum(self, tmp_path, exact_additions):
+        cfg = {"net": SWING_NET, "region": {"resolution": 3}}
+        assert run("aggregate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+        assert len(exact_additions) == 2
+
 
 class TestErrorsAndReproducibility:
     def test_bad_json_exit_2(self, tmp_path):
@@ -188,6 +208,28 @@ class TestErrorsAndReproducibility:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("analyze", str(tmp_path / "nope.json"),
                    out=str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command,cfg,code,kind", [
+        ("analyze", {"net": dict(SWING_NET, laplacian={
+            "builder": {"kind": "hexagon", "n": 3}})}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, coupling={
+            "num": [1], "den": [float("inf")]})}, 2, "config"),
+        ("simulate", {"net": SWING_NET,
+                      "simulate": {"t_end": 0.1, "dt": 0.1}}, 2, "config"),
+        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE,
+                         "sweep": {"sizes": [0, 4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE,
+                         "sweep": {"sizes": [8, 4], "trials": 2}},
+         3, "NotIncreasing"),
+    ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
+            "sizes-not-increasing"])
+    def test_bad_value_documented_exit(self, tmp_path, capsys, command, cfg,
+                                       code, kind):
+        path = write_cfg(tmp_path, cfg)
+        assert run(command, path, out=str(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: kind={kind} detail=")
+        assert "Traceback" not in err
 
     def test_unknown_command_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, {"net": SWING_NET})

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,15 @@ class TestSweeps:
         with pytest.raises(NotIncreasingError):
             connectivity_sweep(net, region, [1.0, 1.0])
 
+    def test_connectivity_sweep_one_exact_sum(self, exact_additions):
+        net = random_swing_net(np.random.default_rng(5), 4)
+        region = FrequencyRegion("vertical_segment", 0.2, (-1, 1), 5)
+        rows = connectivity_sweep(net, region, [1.0, 10.0, 100.0])
+        assert len(exact_additions) == 3
+        for row in rows:
+            assert len(row.reports) == 5
+            assert row.sup_incoherence == max(r.measured for r in row.reports)
+
 
 class TestPoleApproach:
     def _swing_net(self):
@@ -395,6 +406,20 @@ class TestAggregateDynamics:
                            ONE, builder("path", 2))
         aggr = aggregate_dynamics(net)
         assert aggr.den.degree == 3
+
+    def test_turbine_is_gbar_over_n(self):
+        def turbine(m, d, r_inv, tau):
+            return RF([1, tau], [d + r_inv, m + d * tau, m * tau])
+
+        nodes = [turbine(1, 1, 0.5, 1.0), turbine(2, 1.5, 0.3, 3.0),
+                 turbine(1.5, 0.5, 0.2, 2.0), turbine(3, 1, 0.4, 3.0)]
+        net = NetworkModel(nodes, ONE, builder("ring", 4))
+        inverse_sum = nodes[0].reciprocal()
+        for g in nodes[1:]:
+            inverse_sum = inverse_sum + g.reciprocal()
+        aggr = aggregate_dynamics(net)
+        assert aggr == inverse_sum.reciprocal()
+        assert aggr == coherent_dynamics(net).scale(Fraction(1, 4))
 
     def test_identical_pair_halves(self):
         g = RF([1], [1, 1])
