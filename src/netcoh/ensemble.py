@@ -3,6 +3,8 @@
 Node transfer functions are drawn i.i.d. from a parameterized family with
 per-coefficient distributions.  Sampling uses counter-based RNG streams
 (seed plus stream index) so trials are reproducible and order-independent.
+Sampled nodes are float rows of ascending coefficients, evaluated over a
+whole grid at once; exact algebra is formed by ``sample_nodes`` only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import numpy as np
 from .errors import InvalidDistributionError, NotAffineError, require_increasing
 from .graph import builder
 from .netfreq import FrequencyRegion, NetworkModel, eval_T
-from .ratfun import RationalFunction, harmonic_mean
+from .ratfun import INFINITY, RationalFunction, harmonic_mean
+
+_MAX_REJECTION_ROUNDS = 100_000  # a far-tail truncated normal fails, not hangs
+_CHUNK_ELEMS = 1 << 20  # bounds the (nodes x points) work arrays of _inverse_sum
 
 __all__ = [
     "Distribution",
@@ -62,8 +67,12 @@ class Distribution:
         if self.sd == 0:
             return np.full(size, min(max(self.mu, self.lo), self.hi))
         out = np.empty(size)
-        have = 0
+        have = rounds = 0
         while have < size:  # rejection sampling keeps truncation exact
+            rounds += 1
+            if rounds > _MAX_REJECTION_ROUNDS:
+                raise InvalidDistributionError(
+                    f"normal on [{self.lo}, {self.hi}]: {have}/{size} draws kept")
             draw = rng.normal(self.mu, self.sd, size - have)
             keep = draw[(draw >= self.lo) & (draw <= self.hi)]
             out[have:have + keep.size] = keep
@@ -83,13 +92,13 @@ class Distribution:
         phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         Phi = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
         z = Phi(b) - Phi(a)
+        if z <= 0:
+            raise InvalidDistributionError(f"zero mass on [{self.lo}, {self.hi}]")
         return self.mu + self.sd * (phi(a) - phi(b)) / z
 
     @property
     def is_point(self) -> bool:
-        return self.kind == "point" or (self.kind == "normal" and self.sd == 0
-                                        ) or (self.kind == "uniform"
-                                              and self.lo == self.hi)
+        return self.kind == "point" or (self.kind == "normal" and self.sd == 0)
 
 
 def uniform(lo: float, hi: float) -> Distribution:
@@ -132,7 +141,9 @@ class EnsembleSpec:
                 raise InvalidDistributionError(
                     f"{self.family} family needs parameters {missing}"
                 )
-        elif self.family != "custom_coeffs":
+        elif self.family == "custom_coeffs":
+            self._coeff_names()
+        else:
             raise InvalidDistributionError(f"unknown family {self.family!r}")
 
     def param_names(self) -> list[str]:
@@ -140,59 +151,94 @@ class EnsembleSpec:
             return list(_FAMILY_PARAMS[self.family])
         return sorted(self.params)
 
-    def make_node(self, values: dict) -> RationalFunction:
-        if self.family == "swing":
-            g = RationalFunction([1.0], [values["d"], values["m"]])
-        elif self.family == "swing_turbine":
-            m, d, r_inv, tau = (values[k] for k in _FAMILY_PARAMS["swing_turbine"])
-            # 1/(ms + d + r_inv/(tau s + 1)) = (tau s + 1)/(m tau s^2 + (m + d tau)s + d + r_inv)
-            g = RationalFunction([1.0, tau],
-                                 [d + r_inv, m + d * tau, m * tau])
-        else:
-            num = [values[k] for k in sorted(values) if k.startswith("num_")]
-            den = [values[k] for k in sorted(values) if k.startswith("den_")]
-            g = RationalFunction(num, den)
-        if not g.is_proper:
-            raise InvalidDistributionError(f"sampled node {g} is improper")
-        if float(g.den.coeffs[-1]) <= 0:
-            raise InvalidDistributionError(
-                "sampled node has non-positive leading denominator coefficient"
-            )
-        return g
+    def _coeff_names(self) -> tuple[list[str], list[str]]:
+        """custom_coeffs num_k and den_k names in ascending powers k of s."""
+        layout = []
+        for prefix in ("num_", "den_"):
+            names = sorted((k for k in self.params if k.startswith(prefix)),
+                           key=lambda k: int(k[4:]) if k[4:].isdecimal() else -1)
+            if not names or [k[4:] for k in names] != list(map(str, range(len(names)))):
+                raise InvalidDistributionError(
+                    f"{prefix}k needs integers k = 0, 1, ... without gaps, got {names}")
+            layout.append(names)
+        return layout[0], layout[1]
 
 
 def _stream_rng(spec: EnsembleSpec, *indices: int) -> np.random.Generator:
     return np.random.default_rng([spec.seed & 0x7FFFFFFF, *indices])
 
 
-def sample_nodes(spec: EnsembleSpec, n: int, stream_index: int = 0,
-                 ) -> list[RationalFunction]:
-    """n i.i.d. draws, reproducible from (spec.seed, stream_index)."""
+def _coeff_rows(spec: EnsembleSpec, v: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of parameter arrays v as ascending coefficient rows num, den."""
+    if spec.family == "swing":
+        num, den = [np.ones_like(v["m"])], [v["d"], v["m"]]
+    elif spec.family == "swing_turbine":
+        m, d, r_inv, tau = (v[k] for k in _FAMILY_PARAMS["swing_turbine"])
+        # 1/(ms + d + r_inv/(tau s + 1)) = (tau s + 1)/(m tau s^2 + (m + d tau)s + d + r_inv)
+        num, den = [np.ones_like(tau), tau], [d + r_inv, m + d * tau, m * tau]
+    else:
+        num, den = ([v[k] for k in names] for names in spec._coeff_names())
+    num, den = np.column_stack(num), np.column_stack(den)
+    if np.any(den[:, -1] <= 0):
+        raise InvalidDistributionError(
+            "node has non-positive leading denominator coefficient")
+    if np.any(num[:, den.shape[1]:] != 0):
+        raise InvalidDistributionError("sampled node is improper")
+    return num, den
+
+
+def _sample_coeffs(spec: EnsembleSpec, n: int, stream_index: int):
+    """n i.i.d. nodes as coefficient rows, one draw per parameter in
+    param_names() order from one stream."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = _stream_rng(spec, stream_index)
-    names = spec.param_names()
-    draws = {name: spec.params[name].sample(rng, n) for name in names}
-    return [spec.make_node({name: float(draws[name][i]) for name in names})
-            for i in range(n)]
+    return _coeff_rows(spec, {name: spec.params[name].sample(rng, n).astype(float)
+                              for name in spec.param_names()})
+
+
+def sample_nodes(spec: EnsembleSpec, n: int, stream_index: int = 0,
+                 ) -> list[RationalFunction]:
+    """n i.i.d. draws, reproducible from (spec.seed, stream_index)."""
+    num, den = _sample_coeffs(spec, n, stream_index)
+    return [RationalFunction(a, b) for a, b in zip(num.tolist(), den.tolist())]
+
+
+def _horner(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Each row's ascending-coefficient polynomial at pts, shape (points, rows)."""
+    acc = np.zeros((len(pts), len(coeffs)), complex)
+    for c in coeffs.T[::-1]:
+        acc = acc * pts[:, None] + c
+    return acc
+
+
+def _inverse_sum(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
+    """sum_i den_i(s) / num_i(s) at each point s, by Horner over all nodes;
+    a node zero adds complex infinity, as RationalFunction.eval_inverse."""
+    pts = np.asarray(pts, dtype=complex)
+    total = np.zeros(len(pts), complex)
+    step = max(1, _CHUNK_ELEMS // len(pts))
+    for lo in range(0, len(num), step):
+        nv = _horner(num[lo:lo + step], pts)
+        total += np.divide(_horner(den[lo:lo + step], pts), nv,
+                           out=np.full(nv.shape, INFINITY), where=nv != 0
+                           ).sum(axis=1)
+    return total
 
 
 class SampledCoherent:
     """Monte-Carlo estimate of the expected coherent dynamics.
 
-    Pointwise evaluable: value at s is (1/M sum g^{-1}(s, w_k))^{-1} over M
-    frozen draws.
+    Value at s is (1/M sum g^{-1}(s, w_k))^{-1} over M frozen draws, kept as
+    coefficient rows; s is one point or an array of points.
     """
 
-    def __init__(self, nodes: list[RationalFunction]):
-        self.nodes = nodes
-        self.M = len(nodes)
+    def __init__(self, num: np.ndarray, den: np.ndarray):
+        self.num, self.den, self.M = num, den, len(num)
 
-    def __call__(self, s: complex) -> complex:
-        acc = 0j
-        for g in self.nodes:
-            acc += g.eval_inverse(s)
-        return self.M / acc
+    def __call__(self, s):
+        vals = self.M / _inverse_sum(self.num, self.den, np.atleast_1d(s))
+        return vals if np.ndim(s) else complex(vals[0])
 
 
 def expected_coherent(spec: EnsembleSpec, method: str = "analytic_affine",
@@ -204,31 +250,19 @@ def expected_coherent(spec: EnsembleSpec, method: str = "analytic_affine",
     SampledCoherent over mc_draws fresh draws.
     """
     if method == "monte_carlo":
-        return SampledCoherent(sample_nodes(spec, mc_draws, stream_index))
+        return SampledCoherent(*_sample_coeffs(spec, mc_draws, stream_index))
     if method != "analytic_affine":
         raise ValueError(f"unknown method {method!r}")
-    means = {k: v.mean() for k, v in spec.params.items()}
-    if spec.family == "swing":
-        # E g^{-1} = E[m] s + E[d]
-        return RationalFunction([1.0], [means["d"], means["m"]])
-    if spec.family == "swing_turbine":
-        if not spec.params["tau"].is_point:
-            raise NotAffineError(
-                "g^{-1} is not affine in a random turbine time constant"
-            )
-        tau = means["tau"]
-        return RationalFunction(
-            [1.0, tau],
-            [means["d"] + means["r_inv"], means["m"] + means["d"] * tau,
-             means["m"] * tau],
-        )
+    if spec.family == "swing_turbine" and not spec.params["tau"].is_point:
+        raise NotAffineError("g^{-1} is not affine in a random turbine time constant")
     # custom_coeffs: affine iff the numerator is deterministic
-    num_names = sorted(k for k in spec.params if k.startswith("num_"))
-    den_names = sorted(k for k in spec.params if k.startswith("den_"))
-    if any(not spec.params[k].is_point for k in num_names):
+    if spec.family == "custom_coeffs" and not all(
+            spec.params[k].is_point for k in spec._coeff_names()[0]):
         raise NotAffineError("random numerator coefficients break affinity")
-    return RationalFunction([means[k] for k in num_names],
-                            [means[k] for k in den_names])
+    # g^{-1} affine in the parameters w: E g^{-1}(s, w) = g^{-1}(s, E w)
+    num, den = _coeff_rows(spec, {k: np.array([float(d.mean())])
+                                  for k, d in spec.params.items()})
+    return RationalFunction(num[0].tolist(), den[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,13 +282,11 @@ class ConcentrationResult:
 
 def _ghat_on_grid(spec, region):
     try:
-        ghat = expected_coherent(spec, "analytic_affine")
-        certified = True
+        ghat, certified = expected_coherent(spec, "analytic_affine"), True
     except NotAffineError:
-        ghat = expected_coherent(spec, "monte_carlo")
-        certified = False
+        ghat, certified = expected_coherent(spec, "monte_carlo"), False
     pts = region.points()
-    vals = np.array([ghat(s) for s in pts])
+    vals = np.array([ghat(s) for s in pts]) if certified else ghat(pts)
     return pts, vals, certified
 
 
@@ -262,13 +294,12 @@ def _run_concentration(spec, region, sizes, trials, epsilon, deviation,
                        **metadata) -> ConcentrationResult:
     """Sizes x trials loop shared by both experiments.
 
-    deviation(nodes, pts, ghat_vals) gives one trial's grid-sup deviation.
+    deviation(n, stream_index, pts, ghat_vals) gives one trial's grid sup.
     """
     require_increasing("sizes", sizes)
     pts, ghat_vals, certified = _ghat_on_grid(spec, region)
     deviations = [
-        [float(deviation(sample_nodes(spec, n, _trial_stream(size_idx, trial)),
-                         pts, ghat_vals))
+        [float(deviation(n, _trial_stream(size_idx, trial), pts, ghat_vals))
          for trial in range(trials)]
         for size_idx, n in enumerate(sizes)
     ]
@@ -285,11 +316,16 @@ def concentration_experiment(spec: EnsembleSpec, region: FrequencyRegion,
                              ) -> ConcentrationResult:
     """Grid-sup deviation of the empirical coherent dynamics from ghat.
 
-    Per (size, trial): draw nodes, form the harmonic mean, take the sup of
-    |gbar_n - ghat| over the region grid.
+    Per (size, trial): draw nodes, evaluate gbar_n = n / sum g_i^{-1} in
+    floats on the region grid, take the sup of |gbar_n - ghat| there.
     """
-    def deviation(nodes, pts, ghat_vals):
-        gbar_n = harmonic_mean(nodes)
+    def deviation(n, stream, pts, ghat_vals):
+        num, den = _sample_coeffs(spec, n, stream)
+        inv = _inverse_sum(num, den, pts)
+        if np.all(np.isfinite(inv) & (inv != 0)):
+            return np.max(np.abs(n / inv - ghat_vals))
+        # a node zero (gbar_n = 0) or a pole of gbar_n on the grid: exact
+        gbar_n = harmonic_mean(sample_nodes(spec, n, stream))
         return max(abs(gbar_n(s) - gv) for s, gv in zip(pts, ghat_vals))
 
     return _run_concentration(spec, region, sizes, trials, epsilon, deviation,
@@ -307,9 +343,8 @@ def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
     unit = RationalFunction([1.0], [1.0])
     complete = functools.cache(functools.partial(builder, "complete"))
 
-    def deviation(nodes, pts, ghat_vals):
-        n = len(nodes)
-        net = NetworkModel(nodes, unit, complete(n))
+    def deviation(n, stream, pts, ghat_vals):
+        net = NetworkModel(sample_nodes(spec, n, stream), unit, complete(n))
         dev = 0.0
         for s, gv in zip(pts, ghat_vals):
             T = eval_T(net, s)

@@ -233,7 +233,7 @@ def test_10_passivity_uniform_gain():
 
 
 def test_11_dynamics_concentration():
-    with criterion(11, "dynamics concentration", 300):
+    with criterion(11, "dynamics concentration", 30):
         spec = EnsembleSpec("swing", {"m": uniform(1, 2), "d": uniform(1, 2)},
                             seed=11)
         region = FrequencyRegion("vertical_segment", 0.1, (-2.0, 2.0), 9)

@@ -221,8 +221,26 @@ class TestErrorsAndReproducibility:
         ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE,
                          "sweep": {"sizes": [8, 4], "trials": 2}},
          3, "NotIncreasing"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "point", "value": -1.0},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 3, "InvalidDistribution"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "point", "value": 0.0},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 3, "InvalidDistribution"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "normal", "mean": 0, "sd": 1, "lo": 10, "hi": 11},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 3, "InvalidDistribution"),
+        ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {
+            "num_0": {"kind": "point", "value": 1.0},
+            "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
+            "den_2": {"kind": "point", "value": 1.0}}},
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
-            "sizes-not-increasing"])
+            "sizes-not-increasing", "negative-inertia", "zero-inertia",
+            "zero-mass-normal", "custom-coefficient-gap"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, command, cfg,
                                        code, kind):
         path = write_cfg(tmp_path, cfg)

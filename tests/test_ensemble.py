@@ -1,8 +1,10 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 
+from netcoh import ensemble
 from netcoh.errors import InvalidDistributionError, NotAffineError
 from netcoh.ensemble import (
     ConcentrationResult,
@@ -17,6 +19,7 @@ from netcoh.ensemble import (
 )
 from netcoh.netfreq import FrequencyRegion
 from netcoh.ratfun import RationalFunction as RF
+from netcoh.ratfun import harmonic_mean
 
 
 def swing_spec(seed=0):
@@ -50,6 +53,32 @@ class TestDistribution:
         assert np.all(d.sample(rng, 5) == 4.2)
         assert d.mean() == 4.2
         assert d.is_point
+
+    def test_truncated_normal_draws_follow_rejection_loop(self):
+        # the rejection-round cap leaves successful draws bit-identical
+        d = normal(0.5, 1.0, 0.0, 1.0)
+        rng = np.random.default_rng(4)
+        want = []
+        while len(want) < 500:
+            draw = rng.normal(0.5, 1.0, 500 - len(want))
+            want.extend(draw[(draw >= 0.0) & (draw <= 1.0)])
+        assert np.array_equal(d.sample(np.random.default_rng(4), 500), want)
+
+    def test_far_tail_truncation_fails_instead_of_hanging(self):
+        def hang(signum, frame):
+            raise TimeoutError("truncated-normal sampling did not return")
+
+        d = normal(0.0, 1.0, 10.0, 11.0)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            with pytest.raises(InvalidDistributionError):
+                d.sample(np.random.default_rng(0), 1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(InvalidDistributionError):
+            d.mean()  # Phi(11) - Phi(10) rounds to zero
 
     def test_invalid_bounds(self):
         with pytest.raises(InvalidDistributionError):
@@ -92,6 +121,39 @@ class TestEnsembleSpec:
         g = sample_nodes(spec, 1)[0]
         assert g.num == RF([1], [1]).num
         assert g.den.degree == 1
+
+    def test_custom_coeffs_placed_by_integer_suffix(self):
+        # den_10 is the s^10 coefficient, although "den_10" < "den_2" as text
+        params = {f"den_{k}": point(0.1 * (k + 1)) for k in range(11)}
+        spec = EnsembleSpec("custom_coeffs", dict(params, num_0=point(1.0)))
+        want = RF([1.0], [0.1 * (k + 1) for k in range(11)])
+        assert sample_nodes(spec, 1)[0] == want
+        assert expected_coherent(spec) == want
+
+    @pytest.mark.parametrize("names", [
+        ("num_0", "den_0", "den_2"), ("num_1", "den_0"), ("num_0", "den_x"),
+        ("num_0", "den_0", "den_01"), ("den_0",),
+    ], ids=["gap", "no-num_0", "non-integer", "leading-zero", "no-numerator"])
+    def test_custom_coeffs_names_need_integers_without_gaps(self, names):
+        with pytest.raises(InvalidDistributionError):
+            EnsembleSpec("custom_coeffs", {k: point(1.0) for k in names})
+
+    @pytest.mark.parametrize("m", [-1.0, 0.0])
+    def test_non_positive_inertia_rejected(self, m):
+        # m = -1 gives the unstable node -1/(s - 1) and m = 0 the constant 1;
+        # only the raw leading coefficient, not the monic one, shows that
+        spec = EnsembleSpec("swing", {"m": point(m), "d": point(1.0)})
+        with pytest.raises(InvalidDistributionError):
+            sample_nodes(spec, 3)
+        with pytest.raises(InvalidDistributionError):
+            concentration_experiment(spec, SEGMENT, [3], 2, 0.1)
+
+    def test_non_positive_turbine_leading_coefficient_rejected(self):
+        spec = EnsembleSpec("swing_turbine", {"m": point(1.0), "d": point(1.0),
+                                              "r_inv": point(0.3),
+                                              "tau": uniform(-1.0, 1.0)})
+        with pytest.raises(InvalidDistributionError):
+            sample_nodes(spec, 50)
 
 
 class TestSampling:
@@ -212,3 +274,75 @@ class TestResultContainer:
     def test_median(self):
         res = ConcentrationResult([2], [[3.0, 1.0, 2.0]], 0.5, [1.0])
         assert res.median_deviations == [2.0]
+
+
+def _exact_route(spec, region, sizes, trials):
+    """Deviations as the exact harmonic mean of the sampled nodes gives them."""
+    ghat = expected_coherent(spec)
+    pts = region.points()
+    return [[max(abs(gbar(s) - ghat(s)) for s in pts)
+             for gbar in (harmonic_mean(sample_nodes(spec, n, k * 1_000_003 + t + 1))
+                          for t in range(trials))]
+            for k, n in enumerate(sizes)]
+
+
+FAMILIES = {
+    "swing": EnsembleSpec("swing", {"m": uniform(1, 3), "d": uniform(0.5, 1.5)},
+                          seed=5),
+    "swing_turbine": EnsembleSpec(
+        "swing_turbine", {"m": uniform(1, 2), "d": uniform(1, 2),
+                          "r_inv": uniform(0.1, 0.4), "tau": point(2.0)}, seed=3),
+    "custom_coeffs": EnsembleSpec(
+        "custom_coeffs", {"num_0": point(1.0), "num_1": point(0.5),
+                          "den_0": uniform(1, 2),
+                          "den_1": normal(1.0, 0.3, 0.5, 2.0),
+                          "den_2": point(1.0)}, seed=8),
+}
+
+
+class TestFloatEvaluation:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("region", [
+        SEGMENT, FrequencyRegion("rect_grid", 0.3, (-1.0, 1.0), 4)],
+        ids=["segment", "rect"])
+    def test_matches_exact_route(self, family, region):
+        spec = FAMILIES[family]
+        got = concentration_experiment(spec, region, [3, 10, 40], 3, 0.05)
+        want = _exact_route(spec, region, [3, 10, 40], 3)
+        assert np.abs(np.array(got.deviations) - want).max() <= 1e-12
+
+    def test_no_exact_sums(self, exact_additions):
+        concentration_experiment(swing_spec(2), SEGMENT, [4, 16], 3, 0.05)
+        assert len(exact_additions) == 0
+
+    def test_node_zero_on_grid(self):
+        # every node is (s - 0.5)/den_i; the grid passes through s = 0.5,
+        # where gbar_n is 0 and the float sum of inverses is infinite
+        spec = EnsembleSpec("custom_coeffs", {
+            "num_0": point(-0.5), "num_1": point(1.0), "den_0": uniform(1, 2),
+            "den_1": uniform(1, 2), "den_2": point(1.0)}, seed=2)
+        region = FrequencyRegion("vertical_segment", 0.5, (-1.0, 1.0), 9)
+        assert 0.5 + 0j in region.points()
+        got = concentration_experiment(spec, region, [3, 10], 3, 0.05)
+        assert np.all(np.isfinite(got.deviations))
+        assert got.deviations == _exact_route(spec, region, [3, 10], 3)
+
+    def test_sampled_coherent_matches_eval_inverse_sum(self):
+        spec = EnsembleSpec("swing_turbine", {
+            "m": uniform(1, 2), "d": uniform(1, 2), "r_inv": uniform(0.1, 0.4),
+            "tau": uniform(1, 3)}, seed=4)
+        mc = expected_coherent(spec, "monte_carlo", mc_draws=300, stream_index=9)
+        nodes = sample_nodes(spec, 300, 9)
+        pts = SEGMENT.points()
+        want = [300 / sum(g.eval_inverse(s) for g in nodes) for s in pts]
+        assert np.allclose(mc(pts), want, rtol=1e-12, atol=0)
+        assert [mc(s) for s in pts] == list(mc(pts))
+
+    def test_inverse_sum_in_node_blocks(self, monkeypatch):
+        # large draws x grid products are summed block by block
+        spec = swing_spec(6)
+        mc = expected_coherent(spec, "monte_carlo", mc_draws=300)
+        pts = SEGMENT.points()
+        whole = mc(pts)
+        monkeypatch.setattr(ensemble, "_CHUNK_ELEMS", 40)  # 4 nodes per block
+        assert np.allclose(mc(pts), whole, rtol=1e-13, atol=0)
