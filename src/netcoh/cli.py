@@ -16,13 +16,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, ensemble, graph, netfreq, timedomain
 from .errors import (
     ConfigError,
     NetcohError,
     UnstableModelError,
+    require_number,
 )
 from .netfreq import FrequencyRegion, NetworkModel
 from .ratfun import RationalFunction
@@ -45,7 +44,25 @@ def _load_config(path: str) -> tuple[dict, str]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()[:16]
-    return cfg, digest
+    return _json(cfg, dict, "config"), digest
+
+
+def _json(value, kind, what: str):
+    """value if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ConfigError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _section(cfg: dict, name: str) -> dict:
+    return _json(cfg.get(name, {}), dict, name)
+
+
+def _numbers(values, what: str, integer: bool = False) -> list:
+    for v in _json(values, list, what):
+        require_number(what, v, integer)
+    return values
 
 
 def _build_rational(obj) -> RationalFunction:
@@ -64,7 +81,7 @@ def _build_laplacian(obj, config_dir: Path) -> graph.LaplacianMatrix:
             raise ConfigError(f"laplacian file {path} does not exist")
         return graph.read_edge_list(path)
     if "builder" in obj:
-        b = obj["builder"]
+        b = _json(obj["builder"], dict, "laplacian builder")
         try:
             return graph.builder(b["kind"], b["n"], b.get("weight", 1.0))
         except KeyError as exc:
@@ -74,27 +91,29 @@ def _build_laplacian(obj, config_dir: Path) -> graph.LaplacianMatrix:
 
 def _build_net(cfg: dict, config_dir: Path) -> NetworkModel:
     try:
-        net_cfg = cfg["net"]
-        nodes = [_build_rational(n) for n in net_cfg["nodes"]]
+        net_cfg = _json(cfg["net"], dict, "net")
+        nodes = [_build_rational(n)
+                 for n in _json(net_cfg["nodes"], list, "net.nodes")]
         coupling = _build_rational(net_cfg["coupling"])
-        lap = _build_laplacian(net_cfg["laplacian"], config_dir)
+        lap = _build_laplacian(_json(net_cfg["laplacian"], dict, "net.laplacian"),
+                               config_dir)
     except KeyError as exc:
         raise ConfigError(f"config missing net section field: {exc}") from exc
     return NetworkModel(nodes, coupling, lap)
 
 
 def _build_region(cfg: dict) -> FrequencyRegion:
-    r = cfg.get("region", {})
+    r = _section(cfg, "region")
     return FrequencyRegion(
         kind=r.get("kind", "vertical_segment"),
         sigma=r.get("sigma", 0.0),
-        omega_range=tuple(r.get("omega_range", (-1.0, 1.0))),
+        omega_range=r.get("omega_range", (-1.0, 1.0)),
         resolution=r.get("resolution", 33),
     )
 
 
 def _build_input(cfg: dict, n: int) -> InputSignal:
-    i = cfg.get("input", {})
+    i = _section(cfg, "input")
     shape = i.get("shape")
     if shape is None:
         shape = [0.0] * n
@@ -107,8 +126,8 @@ def _build_ensemble(cfg: dict, seed: int) -> ensemble.EnsembleSpec:
     if e is None:
         raise ConfigError("concentrate command needs an 'ensemble' section")
     params = {}
-    for name, d in e.get("params", {}).items():
-        kind = d.get("kind")
+    for name, d in _section(_json(e, dict, "ensemble"), "params").items():
+        kind = _json(d, dict, f"distribution {name}").get("kind")
         try:
             if kind == "uniform":
                 params[name] = ensemble.uniform(d["lo"], d["hi"])
@@ -161,7 +180,7 @@ SWEEP_HEADER = "alpha,lambda2,s_re,s_im,measured,bound,bound_valid,eff_conn"
 def cmd_analyze(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     region = _build_region(cfg)
-    alphas = cfg.get("sweep", {}).get("alphas")
+    alphas = _numbers(_section(cfg, "sweep").get("alphas") or [], "alphas")
     if alphas:
         rows = netfreq.connectivity_sweep(net, region, alphas)
         collected = [(row.alpha, row.lambda2, r)
@@ -192,7 +211,7 @@ def cmd_bound(cfg, digest, seed, out_dir, config_dir):
 def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     sig = _build_input(cfg, net.n)
-    sim = cfg.get("simulate", {})
+    sim = _section(cfg, "simulate")
     t_end = sim.get("t_end", 20.0)
     dt = sim.get("dt", 0.01)
     inertias = sim.get("inertias")
@@ -214,12 +233,11 @@ def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
 
 def cmd_freqdep(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
-    sweep = cfg.get("sweep", {})
-    alphas = sweep.get("alphas", [0.25, 0.1])
-    sim = cfg.get("simulate", {})
+    alphas = _numbers(_section(cfg, "sweep").get("alphas", [0.25, 0.1]), "alphas")
+    sim = _section(cfg, "simulate")
     t_end = sim.get("t_end", 120.0)
     dt = sim.get("dt", 0.01)
-    shape = cfg.get("input", {}).get("shape")
+    shape = _section(cfg, "input").get("shape")
     try:
         rows = timedomain.frequency_dependence_experiment(
             net, alphas, t_end, dt, shape=shape
@@ -234,8 +252,8 @@ def cmd_freqdep(cfg, digest, seed, out_dir, config_dir):
 def cmd_concentrate(cfg, digest, seed, out_dir, config_dir):
     spec = _build_ensemble(cfg, seed)
     region = _build_region(cfg)
-    sweep = cfg.get("sweep", {})
-    sizes = sweep.get("sizes", [10, 40, 160])
+    sweep = _section(cfg, "sweep")
+    sizes = _numbers(sweep.get("sizes", [10, 40, 160]), "sizes", integer=True)
     trials = sweep.get("trials", 50)
     epsilon = sweep.get("epsilon", 0.05)
     full = sweep.get("full_network", False)
@@ -259,11 +277,9 @@ def cmd_aggregate(cfg, digest, seed, out_dir, config_dir):
     region = _build_region(cfg)
     aggr = netfreq.aggregate_dynamics(net)
     (out_dir / "aggregate.txt").write_text(aggr.serialize() + "\n")
-    reports, _ = netfreq.sweep_region(net, region)
-    rows = [(r.s.real, r.s.imag,
-             float(np.linalg.norm(netfreq.eval_T(net, r.s), 2)),
-             abs(net.n * aggr(r.s)), r.measured)
-            for r in reports]
+    reports, t_norms = netfreq.transfer_norm_sweep(net, region)
+    rows = [(r.s.real, r.s.imag, t, abs(net.n * aggr(r.s)), r.measured)
+            for r, t in zip(reports, t_norms)]
     _write_csv(out_dir / "aggregate_compare.csv",
                "s_re,s_im,t_norm,coherent_gain,incoherence", rows,
                _provenance(digest, seed))

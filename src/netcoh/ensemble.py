@@ -15,13 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDistributionError, NotAffineError, require_increasing
+from .errors import (
+    InvalidDistributionError,
+    NotAffineError,
+    require_increasing,
+    require_number,
+)
 from .graph import builder
-from .netfreq import FrequencyRegion, NetworkModel, eval_T
-from .ratfun import INFINITY, RationalFunction, harmonic_mean
+from .netfreq import (
+    FrequencyRegion,
+    _inverse_sum,
+    _node_inverses,
+    _pad,
+    _transfer,
+)
+from .ratfun import RationalFunction, harmonic_mean
 
 _MAX_REJECTION_ROUNDS = 100_000  # a far-tail truncated normal fails, not hangs
-_CHUNK_ELEMS = 1 << 20  # bounds the (nodes x points) work arrays of _inverse_sum
 
 __all__ = [
     "Distribution",
@@ -134,6 +144,9 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_number("seed", self.seed, integer=True)
+        if self.seed < 0:
+            raise InvalidDistributionError(f"seed must be non-negative, got {self.seed}")
         if self.family in _FAMILY_PARAMS:
             missing = [p for p in _FAMILY_PARAMS[self.family]
                        if p not in self.params]
@@ -202,28 +215,6 @@ def sample_nodes(spec: EnsembleSpec, n: int, stream_index: int = 0,
     """n i.i.d. draws, reproducible from (spec.seed, stream_index)."""
     num, den = _sample_coeffs(spec, n, stream_index)
     return [RationalFunction(a, b) for a, b in zip(num.tolist(), den.tolist())]
-
-
-def _horner(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Each row's ascending-coefficient polynomial at pts, shape (points, rows)."""
-    acc = np.zeros((len(pts), len(coeffs)), complex)
-    for c in coeffs.T[::-1]:
-        acc = acc * pts[:, None] + c
-    return acc
-
-
-def _inverse_sum(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
-    """sum_i den_i(s) / num_i(s) at each point s, by Horner over all nodes;
-    a node zero adds complex infinity, as RationalFunction.eval_inverse."""
-    pts = np.asarray(pts, dtype=complex)
-    total = np.zeros(len(pts), complex)
-    step = max(1, _CHUNK_ELEMS // len(pts))
-    for lo in range(0, len(num), step):
-        nv = _horner(num[lo:lo + step], pts)
-        total += np.divide(_horner(den[lo:lo + step], pts), nv,
-                           out=np.full(nv.shape, INFINITY), where=nv != 0
-                           ).sum(axis=1)
-    return total
 
 
 class SampledCoherent:
@@ -340,17 +331,18 @@ def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
     Deviation metric is sup_S ||T_n(s, w) - (1/n) ghat(s) 11^T|| with the
     coupling absorbed into L (f = 1).
     """
-    unit = RationalFunction([1.0], [1.0])
     complete = functools.cache(functools.partial(builder, "complete"))
 
     def deviation(n, stream, pts, ghat_vals):
-        net = NetworkModel(sample_nodes(spec, n, stream), unit, complete(n))
-        dev = 0.0
-        for s, gv in zip(pts, ghat_vals):
-            T = eval_T(net, s)
-            coh = (gv / n) * np.ones((n, n))
-            dev = max(dev, float(np.linalg.norm(T - coh, 2)))
-        return dev
+        rows = _sample_coeffs(spec, n, stream)
+        ginv = _node_inverses(*rows, pts)
+        if np.isinf(ginv).any():  # a node zero on the grid: the exact nodes
+            nodes = sample_nodes(spec, n, stream)
+            rows = _pad([g.num for g in nodes]), _pad([g.den for g in nodes])
+            ginv = _node_inverses(*rows, pts)
+        L = complete(n).entries
+        return max(np.linalg.norm(_transfer(rows, s, row, 1.0, L) - gv / n, 2)
+                   for s, row, gv in zip(pts, ginv, ghat_vals))
 
     return _run_concentration(spec, region, sizes, trials, epsilon, deviation,
                               metric="sup ||T_n - (1/n) ghat 11^T||",

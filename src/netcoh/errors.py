@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import math
+import numbers
+
 
 class NetcohError(Exception):
     """Base class for all package errors."""
@@ -79,6 +82,16 @@ def require_increasing(name: str, values) -> None:
     """Raise NotIncreasingError unless values is strictly increasing."""
     if any(b <= a for a, b in zip(values, values[1:])):
         raise NotIncreasingError(f"{name} must be strictly increasing: {values}")
+
+
+def require_number(name: str, value, integer: bool = False) -> None:
+    """Raise ValueError unless value is a finite real number, or an integer
+    when integer is set; a bool is neither."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or not (integer or math.isfinite(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 class NotAPoleOfFError(NetcohError):

@@ -18,6 +18,7 @@ from .errors import (
     NonPositiveWeightError,
     SelfLoopError,
     TooFewNodesError,
+    require_number,
 )
 
 __all__ = [
@@ -149,6 +150,8 @@ def from_edge_list(edges, n: int) -> LaplacianMatrix:
 
 def builder(kind: str, n: int, weight: float = 1.0) -> LaplacianMatrix:
     """Standard topologies with uniform edge weight."""
+    require_number("n", n, integer=True)
+    require_number("weight", weight)
     if n < 2:
         raise TooFewNodesError(f"builder needs n >= 2, got {n}")
     if kind == "complete":

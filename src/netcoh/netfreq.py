@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import ratfun
 from .errors import (
     CoherentPoleAtSError,
     DisconnectedError,
@@ -27,9 +26,10 @@ from .errors import (
     RegionContainsSingularityError,
     SingularAtSError,
     require_increasing,
+    require_number,
 )
 from .graph import LaplacianMatrix
-from .ratfun import RationalFunction, harmonic_mean
+from .ratfun import INFINITY, RationalFunction, harmonic_mean
 
 __all__ = [
     "NetworkModel",
@@ -42,6 +42,7 @@ __all__ = [
     "lemma_bound",
     "estimate_majorants",
     "sweep_region",
+    "transfer_norm_sweep",
     "connectivity_sweep",
     "pole_approach_sweep",
     "homogeneous_decomposition_check",
@@ -50,6 +51,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 MAJORANT_SAFETY = 1.05
+_CHUNK_ELEMS = 1 << 20  # bounds the (nodes x points) work arrays of _inverse_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +78,9 @@ class NetworkModel:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "laplacian", laplacian)
-        # filled on first use and shared with every copy over the same nodes
-        object.__setattr__(self, "_gbar", [])
+        # exact gbar and float rows: filled on first use and shared with
+        # every copy over the same nodes
+        object.__setattr__(self, "_shared", {})
 
     @property
     def n(self) -> int:
@@ -90,13 +93,22 @@ class NetworkModel:
     @property
     def gbar(self) -> RationalFunction:
         """Harmonic mean of the nodes, computed exactly at most once."""
-        if not self._gbar:
-            self._gbar.append(harmonic_mean(self.nodes))
-        return self._gbar[0]
+        if "gbar" not in self._shared:
+            self._shared["gbar"] = harmonic_mean(self.nodes)
+        return self._shared["gbar"]
+
+    @property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node numerators and denominators as zero-padded rows of ascending
+        float coefficients, shapes (n, p) and (n, q)."""
+        if "rows" not in self._shared:
+            self._shared["rows"] = (_pad([g.num for g in self.nodes]),
+                                    _pad([g.den for g in self.nodes]))
+        return self._shared["rows"]
 
     def with_laplacian(self, laplacian: LaplacianMatrix) -> "NetworkModel":
         net = NetworkModel(self.nodes, self.coupling, laplacian)
-        object.__setattr__(net, "_gbar", self._gbar)
+        object.__setattr__(net, "_shared", self._shared)
         return net
 
     def scaled(self, alpha: float) -> "NetworkModel":
@@ -119,6 +131,14 @@ class FrequencyRegion:
     def __post_init__(self):
         if self.kind not in ("vertical_segment", "rect_grid"):
             raise ValueError(f"unknown region kind {self.kind!r}")
+        require_number("sigma", self.sigma)
+        require_number("resolution", self.resolution, integer=True)
+        w = self.omega_range
+        if not isinstance(w, (tuple, list)) or len(w) != 2:
+            raise ValueError(f"omega_range must be a pair of numbers, got {w!r}")
+        for x in w:
+            require_number("omega_range", x)
+        object.__setattr__(self, "omega_range", tuple(w))
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
         if not self.omega_range[0] < self.omega_range[1]:
@@ -160,8 +180,116 @@ class IncoherenceReport:
     grid: str = field(default="", compare=False)
 
 
-def _node_inverse_values(net: NetworkModel, s: complex) -> list[complex]:
-    return [g.eval_inverse(s) for g in net.nodes]
+def _pad(polys) -> np.ndarray:
+    width = max(len(p.coeffs) for p in polys)
+    return np.array([p.coeffs_float() + [0.0] * (width - len(p.coeffs))
+                     for p in polys])
+
+
+def _horner(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Each row's ascending-coefficient polynomial at pts, shape (points, rows)."""
+    acc = np.zeros((len(pts), len(coeffs)), complex)
+    for c in coeffs.T[::-1]:
+        acc = acc * pts[:, None] + c
+    return acc
+
+
+def _node_inverses(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
+    """g_i^{-1}(s_k) = den_i(s_k) / num_i(s_k) of coefficient rows, shape
+    (points, nodes); a node zero gives complex infinity, as eval_inverse."""
+    pts = np.asarray(pts, dtype=complex)
+    nv = _horner(num, pts)
+    return np.divide(_horner(den, pts), nv, out=np.full(nv.shape, INFINITY),
+                     where=nv != 0)
+
+
+def _inverse_sum(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
+    """sum_i g_i^{-1}(s) at each point s, summed in blocks of at most
+    _CHUNK_ELEMS node-point pairs (one node at least)."""
+    pts = np.asarray(pts, dtype=complex)
+    total = np.zeros(len(pts), complex)
+    step = max(1, _CHUNK_ELEMS // len(pts))
+    for lo in range(0, len(num), step):
+        total += _node_inverses(num[lo:lo + step], den[lo:lo + step], pts
+                                ).sum(axis=1)
+    return total
+
+
+def _gbar_values(net: NetworkModel, pts, ginv: np.ndarray) -> np.ndarray:
+    """gbar(s_k) = n / sum_i g_i^{-1}(s_k) from the float inverses; the exact
+    gbar where that sum is not finite (a node zero) or is 0."""
+    total = ginv.sum(axis=1)
+    exact = ~np.isfinite(total) | (total == 0)
+    gbar = np.divide(net.n, total, out=np.zeros(total.shape, complex),
+                     where=~exact)
+    for k in np.flatnonzero(exact):
+        gbar[k] = net.gbar(pts[k])
+    return gbar
+
+
+def _transfer(rows, s: complex, ginv: np.ndarray, fv: complex,
+              L: np.ndarray) -> np.ndarray:
+    """T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1} from the nodes' inverses ginv
+    and fv = f(s) at one point; when some g_i(s) = 0 (g_i^{-1} infinite) it
+    falls back to (I + G f L)^{-1} G, G from the coefficient rows."""
+    if not cmath.isfinite(fv):
+        raise SingularAtSError(f"s={s} is a pole of the coupling dynamics")
+    if np.isfinite(ginv).all():
+        M = np.diag(ginv) + fv * L
+        if not np.isfinite(M).all():
+            raise SingularAtSError(f"closed-loop matrix not finite at s={s}")
+        if np.linalg.cond(M) > _COND_LIMIT:
+            raise SingularAtSError(f"closed-loop matrix singular at s={s}")
+        return np.linalg.inv(M)
+    nv, dv = (_horner(c, np.array([s], complex))[0] for c in rows)
+    if np.any(dv == 0):
+        raise SingularAtSError(
+            f"s={s} is simultaneously a zero and a pole among the nodes")
+    G = np.diag(nv / dv)
+    M = np.eye(len(G)) + G * fv @ L
+    if np.linalg.cond(M) > _COND_LIMIT:
+        raise NodeZeroAtSError(
+            f"some g_i({s}) = 0 and the fallback formula is singular")
+    return np.linalg.solve(M, G)
+
+
+def _sweep(net: NetworkModel, pts, M1=None, M2=None, grid="", t_norm=False):
+    """Incoherence reports at pts, with the norm bound when M1 and M2 are
+    given, and ||T(s)||_2 at each point when t_norm.
+
+    One closed-loop solve per point, in grid order; at one point the checks
+    run coherent pole, coupling pole, singular matrix or node zero, then
+    majorants.
+    """
+    rows, L, n = net._rows, net.laplacian.entries, net.n
+    ginv = _node_inverses(*rows, pts)
+    bounded = M1 is not None and M2 is not None
+    lam2 = net.laplacian.lambda2
+    reports, t_norms = [], []
+    for s, row, gbar in zip(pts, ginv, _gbar_values(net, pts, ginv).tolist()):
+        if not cmath.isfinite(gbar):
+            raise CoherentPoleAtSError(
+                f"s={s} is a pole of the coherent dynamics; measure undefined")
+        fv = net.coupling(s)
+        T = _transfer(rows, s, row, fv, L)
+        measured = float(np.linalg.norm(T - gbar / n, 2))
+        if t_norm:
+            t_norms.append(float(np.linalg.norm(T, 2)))
+        eff = abs(fv) * lam2
+        if not bounded:
+            reports.append(IncoherenceReport(s, measured, eff, grid=grid))
+            continue
+        gmag, imax = abs(gbar), float(np.abs(row).max())
+        tol = 1e-9
+        if M1 < gmag * (1 - tol) or M2 < imax * (1 - tol):
+            raise InvalidMajorantsError(
+                f"M1={M1} vs |gbar(s)|={gmag}, M2={M2} vs max|g^-1(s)|={imax}")
+        threshold = M2 + M1 * M2 * M2
+        valid = eff > threshold
+        bound = (M1 * M2 + 1.0) ** 2 / (eff - threshold) if valid else None
+        reports.append(IncoherenceReport(s, measured, eff, M1, M2, bound,
+                                         valid, grid))
+    return reports, t_norms
 
 
 def eval_T(net: NetworkModel, s: complex) -> np.ndarray:
@@ -170,34 +298,9 @@ def eval_T(net: NetworkModel, s: complex) -> np.ndarray:
     Primary route inverts diag{g_i^{-1}(s)} + f(s)L; when some g_i(s) = 0
     (g_i^{-1} infinite there) it falls back to (I + G f L)^{-1} G.
     """
-    fv = net.coupling(s)
-    if not cmath.isfinite(fv):
-        raise SingularAtSError(f"s={s} is a pole of the coupling dynamics")
-    L = net.laplacian.entries
-    ginv = _node_inverse_values(net, s)
-    if all(cmath.isfinite(v) for v in ginv):
-        M = np.diag(ginv) + fv * L
-        return _checked_inverse(M, s)
-    gv = [g(s) for g in net.nodes]
-    if not all(cmath.isfinite(v) for v in gv):
-        raise SingularAtSError(
-            f"s={s} is simultaneously a zero and a pole among the nodes"
-        )
-    G = np.diag(gv)
-    M = np.eye(net.n) + G * fv @ L
-    if np.linalg.cond(M) > _COND_LIMIT:
-        raise NodeZeroAtSError(
-            f"some g_i({s}) = 0 and the fallback formula is singular"
-        )
-    return np.linalg.solve(M, G)
-
-
-def _checked_inverse(M: np.ndarray, s: complex) -> np.ndarray:
-    if not np.all(np.isfinite(M)):
-        raise SingularAtSError(f"closed-loop matrix not finite at s={s}")
-    if np.linalg.cond(M) > _COND_LIMIT:
-        raise SingularAtSError(f"closed-loop matrix singular at s={s}")
-    return np.linalg.inv(M)
+    rows = net._rows
+    return _transfer(rows, s, _node_inverses(*rows, [s])[0], net.coupling(s),
+                     net.laplacian.entries)
 
 
 def coherent_dynamics(net: NetworkModel) -> RationalFunction:
@@ -212,17 +315,7 @@ def aggregate_dynamics(net: NetworkModel) -> RationalFunction:
 
 def incoherence(net: NetworkModel, s: complex) -> IncoherenceReport:
     """Spectral norm of T(s) - (1/n) gbar(s) 11^T."""
-    gbar_v = net.gbar(s)
-    if not cmath.isfinite(gbar_v):
-        raise CoherentPoleAtSError(
-            f"s={s} is a pole of the coherent dynamics; measure undefined"
-        )
-    T = eval_T(net, s)
-    n = net.n
-    coherent = (gbar_v / n) * np.ones((n, n))
-    measured = float(np.linalg.norm(T - coherent, 2))
-    eff = abs(net.coupling(s)) * net.laplacian.lambda2
-    return IncoherenceReport(s=s, measured=measured, effective_connectivity=eff)
+    return _sweep(net, [s])[0][0]
 
 
 def lemma_bound(net: NetworkModel, s: complex,
@@ -233,26 +326,7 @@ def lemma_bound(net: NetworkModel, s: complex,
     the bound is populated only when |f(s)| lambda_2 strictly exceeds
     M2 + M1 M2^2.
     """
-    rep = incoherence(net, s)
-    gbar_mag = abs(net.gbar(s))
-    ginv_max = max(abs(v) for v in _node_inverse_values(net, s))
-    tol = 1e-9
-    if M1 < gbar_mag * (1 - tol) or M2 < ginv_max * (1 - tol):
-        raise InvalidMajorantsError(
-            f"M1={M1} vs |gbar(s)|={gbar_mag}, M2={M2} vs max|g^-1(s)|={ginv_max}"
-        )
-    eff = rep.effective_connectivity
-    threshold = M2 + M1 * M2 * M2
-    if eff > threshold:
-        bound = (M1 * M2 + 1.0) ** 2 / (eff - threshold)
-        return IncoherenceReport(
-            s=s, measured=rep.measured, effective_connectivity=eff,
-            M1=M1, M2=M2, bound=bound, bound_valid=True,
-        )
-    return IncoherenceReport(
-        s=s, measured=rep.measured, effective_connectivity=eff,
-        M1=M1, M2=M2, bound=None, bound_valid=False,
-    )
+    return _sweep(net, [s], M1, M2)[0][0]
 
 
 def estimate_majorants(net: NetworkModel,
@@ -275,8 +349,9 @@ def estimate_majorants(net: NetworkModel,
                     f"region contains node zero {z}", root=z
                 )
     pts = region.points()
-    M1 = max(abs(gbar(s)) for s in pts)
-    M2 = max(max(abs(v) for v in _node_inverse_values(net, s)) for s in pts)
+    ginv = _node_inverses(*net._rows, pts)
+    M1 = float(np.abs(_gbar_values(net, pts, ginv)).max())
+    M2 = float(np.abs(ginv).max())
     return M1 * MAJORANT_SAFETY, M2 * MAJORANT_SAFETY
 
 
@@ -287,16 +362,15 @@ def sweep_region(net: NetworkModel, region: FrequencyRegion,
 
     When majorants are supplied each report carries the norm bound.
     """
-    desc = region.describe()
-    reports = []
-    for s in region.points():
-        if M1 is not None and M2 is not None:
-            rep = lemma_bound(net, s, M1, M2)
-        else:
-            rep = incoherence(net, s)
-        reports.append(replace(rep, grid=desc))
-    sup = max(r.measured for r in reports)
-    return reports, sup
+    reports, _ = _sweep(net, region.points(), M1, M2, grid=region.describe())
+    return reports, max(r.measured for r in reports)
+
+
+def transfer_norm_sweep(net: NetworkModel, region: FrequencyRegion,
+                        ) -> tuple[list[IncoherenceReport], list[float]]:
+    """sweep_region's reports and ||T(s)||_2 at every grid point, both
+    from the same solve."""
+    return _sweep(net, region.points(), grid=region.describe(), t_norm=True)
 
 
 @dataclass(frozen=True)
@@ -345,11 +419,8 @@ def pole_approach_sweep(net: NetworkModel, pole_of_f: complex,
     if not any(abs(p - pole_of_f) < 1e-7 for p in f_poles):
         raise NotAPoleOfFError(f"{pole_of_f} is not a pole of the coupling")
     d = direction / abs(direction)
-    rows = []
-    for r in radii:
-        s = pole_of_f + r * d
-        rows.append((float(r), incoherence(net, s).measured))
-    return rows
+    reports, _ = _sweep(net, [pole_of_f + r * d for r in radii])
+    return [(float(r), rep.measured) for r, rep in zip(radii, reports)]
 
 
 def homogeneous_decomposition_check(g: RationalFunction, f: RationalFunction,

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from netcoh.cli import run
+from netcoh.cli import main, run
 
 SWING_NET = {
     "nodes": [
@@ -198,6 +199,20 @@ class TestAggregate:
         assert run("aggregate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
         assert len(exact_additions) == 2
 
+    def test_one_solve_per_point(self, tmp_path, monkeypatch):
+        # t_norm and incoherence come from the same inverse at each point
+        inverted = []
+        real = np.linalg.inv
+
+        def counting(a):
+            inverted.append(len(a) if np.ndim(a) == 3 else 1)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        cfg = {"net": SWING_NET, "region": {"resolution": 17}}
+        assert run("aggregate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+        assert sum(inverted) == 17
+
 
 class TestErrorsAndReproducibility:
     def test_bad_json_exit_2(self, tmp_path):
@@ -238,9 +253,25 @@ class TestErrorsAndReproducibility:
             "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
             "den_2": {"kind": "point", "value": 1.0}}},
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "region": {"resolution": 5.0}}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "region": {"resolution": "5"}}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "region": {"omega_range": "ab"}}, 2,
+         "config"),
+        ("analyze", {"net": SWING_NET, "region": {"sigma": "x"}}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "region": [1, 2]}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, nodes=5)}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, laplacian={
+            "builder": {"kind": "complete", "n": 3.0}})}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, laplacian={
+            "builder": {"kind": "complete", "n": "3"}})}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "sweep": {"alphas": "ab"}}, 2, "config"),
+        ("analyze", [1, 2], 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
-            "zero-mass-normal", "custom-coefficient-gap"])
+            "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
+            "string-resolution", "string-omega-range", "string-sigma",
+            "region-list", "nodes-int", "float-builder-n", "string-builder-n",
+            "string-alphas", "top-level-list"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, command, cfg,
                                        code, kind):
         path = write_cfg(tmp_path, cfg)
@@ -248,6 +279,13 @@ class TestErrorsAndReproducibility:
         err = capsys.readouterr().err
         assert err.startswith(f"error: kind={kind} detail=")
         assert "Traceback" not in err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        cfg = {"ensemble": CONCENTRATE_ENSEMBLE,
+               "sweep": {"sizes": [4], "trials": 2}}
+        assert main(["concentrate", write_cfg(tmp_path, cfg), "--seed", "-1",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: kind=config detail=")
 
     def test_unknown_command_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, {"net": SWING_NET})
@@ -285,3 +323,30 @@ class TestErrorsAndReproducibility:
                            if not l.startswith("#")]
         assert strip(out_a / "concentration.csv") != \
             strip(out_b / "concentration.csv")
+
+
+def test_csv_cells_are_numbers_booleans_or_empty(tmp_path):
+    region = {"kind": "vertical_segment", "sigma": 0.1, "omega_range": [-1, 1],
+              "resolution": 5}
+    runs = [
+        ("analyze", {"net": SWING_NET, "region": region,
+                     "sweep": {"alphas": [0.1, 100.0]}}, ["sweep.csv"]),
+        ("bound", {"net": SWING_NET, "region": region}, ["bound.csv"]),
+        ("aggregate", {"net": SWING_NET, "region": region},
+         ["aggregate_compare.csv"]),
+        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE, "region": region,
+                         "sweep": {"sizes": [4, 8], "trials": 3}},
+         ["concentration.csv", "concentration_summary.csv"]),
+    ]
+    for command, cfg, names in runs:
+        out = tmp_path / command
+        assert run(command, write_cfg(tmp_path, cfg, f"{command}.json"),
+                   seed=4, out=str(out)) == 0
+        for name in names:
+            lines = [l for l in (out / name).read_text().splitlines()
+                     if not l.startswith("#")]
+            assert len(lines) > 1
+            for line in lines[1:]:
+                for cell in line.split(","):
+                    if cell not in ("", "true", "false"):
+                        float(cell)  # raises on np.float64(...) and the like

@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from netcoh import ensemble
+from netcoh import netfreq
 from netcoh.errors import InvalidDistributionError, NotAffineError
 from netcoh.ensemble import (
     ConcentrationResult,
@@ -17,7 +17,8 @@ from netcoh.ensemble import (
     sample_nodes,
     uniform,
 )
-from netcoh.netfreq import FrequencyRegion
+from netcoh.graph import builder
+from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
 from netcoh.ratfun import harmonic_mean
 
@@ -169,6 +170,22 @@ class TestSampling:
 
     def test_seed_changes_draws(self):
         assert sample_nodes(swing_spec(1), 4) != sample_nodes(swing_spec(2), 4)
+
+    def test_stream_is_seed_and_index(self):
+        # the documented counter-based stream (seed, stream index)
+        rng = np.random.default_rng([5, 3])
+        m, d = rng.uniform(1, 2, 4), rng.uniform(1, 2, 4)
+        assert sample_nodes(swing_spec(5), 4, 3) == [
+            RF([1.0], [di, mi]) for mi, di in zip(m, d)]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidDistributionError):
+            swing_spec(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError):
+            swing_spec(seed)
 
 
 class TestExpectedCoherent:
@@ -344,5 +361,51 @@ class TestFloatEvaluation:
         mc = expected_coherent(spec, "monte_carlo", mc_draws=300)
         pts = SEGMENT.points()
         whole = mc(pts)
-        monkeypatch.setattr(ensemble, "_CHUNK_ELEMS", 40)  # 4 nodes per block
+        monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 40)  # 4 nodes per block
         assert np.allclose(mc(pts), whole, rtol=1e-13, atol=0)
+
+
+def _exact_full_network(spec, region, sizes, trials):
+    """Full-network deviations from canonical nodes and one eval_T per point."""
+    pts = region.points()
+    ghat = np.array([expected_coherent(spec)(s) for s in pts])
+    devs = []
+    for k, n in enumerate(sizes):
+        L = builder("complete", n)
+        nets = (NetworkModel(sample_nodes(spec, n, k * 1_000_003 + t + 1),
+                             RF([1.0], [1.0]), L) for t in range(trials))
+        devs.append([max(np.linalg.norm(eval_T(net, s) - gv / n * np.ones((n, n)), 2)
+                         for s, gv in zip(pts, ghat)) for net in nets])
+    return devs
+
+
+class TestFullNetworkKernel:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_exact_route(self, family):
+        spec = FAMILIES[family]
+        got = full_network_concentration(spec, SEGMENT, [3, 10, 40], 3, 0.05)
+        want = _exact_full_network(spec, SEGMENT, [3, 10, 40], 3)
+        assert np.allclose(got.deviations, want, rtol=1e-12, atol=0)
+
+    def test_trials_build_no_rational_functions(self, monkeypatch):
+        built = []
+        real = RF.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            real(self, *args)
+
+        monkeypatch.setattr(RF, "__init__", counting)
+        full_network_concentration(swing_spec(2), SEGMENT, [3], 1, 0.05)
+        assert len(built) == 1  # the analytic ghat
+        full_network_concentration(swing_spec(2), SEGMENT, [3, 10, 40], 4, 0.05)
+        assert len(built) == 2
+
+    def test_node_zero_on_grid(self):
+        spec = EnsembleSpec("custom_coeffs", {
+            "num_0": point(-0.5), "num_1": point(1.0), "den_0": uniform(1, 2),
+            "den_1": uniform(1, 2), "den_2": point(1.0)}, seed=2)
+        region = FrequencyRegion("vertical_segment", 0.5, (-1.0, 1.0), 9)
+        got = full_network_concentration(spec, region, [3, 10], 3, 0.05)
+        assert np.all(np.isfinite(got.deviations))
+        assert got.deviations == _exact_full_network(spec, region, [3, 10], 3)

@@ -3,13 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netcoh import netfreq
 from netcoh.errors import (
     CoherentPoleAtSError,
     DisconnectedError,
     InvalidMajorantsError,
+    NodeZeroAtSError,
     NotAPoleOfFError,
     NotIncreasingError,
     RegionContainsSingularityError,
+    SingularAtSError,
 )
 from netcoh.graph import DisconnectedWarning, builder, from_edge_list
 from netcoh.netfreq import (
@@ -27,6 +30,7 @@ from netcoh.netfreq import (
     nodal_multiplicity,
     pole_approach_sweep,
     sweep_region,
+    transfer_norm_sweep,
 )
 from netcoh.ratfun import RationalFunction as RF
 
@@ -425,3 +429,145 @@ class TestAggregateDynamics:
         g = RF([1], [1, 1])
         net = NetworkModel([g, g], ONE, builder("path", 2))
         assert aggregate_dynamics(net) == RF([1], [2, 2])
+
+
+def _oracle_T(net, s):
+    """T(s) by one dense solve at one point, from the exact nodes."""
+    ginv = [g.eval_inverse(s) for g in net.nodes]
+    fv, L = net.coupling(s), net.laplacian.entries
+    if np.all(np.isfinite(ginv)):
+        return np.linalg.inv(np.diag(ginv) + fv * L)
+    G = np.diag([g(s) for g in net.nodes])
+    return np.linalg.solve(np.eye(net.n) + G * fv @ L, G)
+
+
+def _kernel_net(seed, f):
+    # random swing nodes plus one node with a zero at s = -0.5
+    rng = np.random.default_rng(seed)
+    nodes = [swing(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(5)]
+    nodes.append(RF([0.5, 1], [2, 3, 1]))
+    return NetworkModel(nodes, f, builder("ring", 6, rng.uniform(0.5, 2.0)))
+
+
+KERNEL_GRIDS = {
+    "segment-node-zero": (FrequencyRegion("vertical_segment", -0.5, (-1, 1), 9), ONE),
+    "rect": (FrequencyRegion("rect_grid", 0.4, (0.2, 1.2), 5), ONE),
+    "rect-integrator": (FrequencyRegion("rect_grid", 0.4, (0.2, 1.2), 5), INTEGRATOR),
+    "segment-integrator": (FrequencyRegion("vertical_segment", 0.1, (-1, 1), 8),
+                           INTEGRATOR),
+}
+
+
+class TestGridKernel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("grid", sorted(KERNEL_GRIDS))
+    def test_matches_per_point_oracle(self, grid, seed):
+        region, f = KERNEL_GRIDS[grid]
+        net = _kernel_net(seed, f)
+        pts = region.points()
+        if grid == "segment-node-zero":
+            assert -0.5 + 0j in pts
+        gbar = net.gbar
+        want = np.array([[np.linalg.norm(_oracle_T(net, s) - c * np.ones((6, 6)), 2)
+                          for c in (0, gbar(s) / net.n)] for s in pts])
+        reports, t_norms = transfer_norm_sweep(net, region)
+        assert np.allclose(t_norms, want[:, 0], rtol=1e-12, atol=0)
+        assert np.allclose([r.measured for r in reports], want[:, 1],
+                           rtol=1e-12, atol=0)
+        assert [r.measured for r in sweep_region(net, region)[0]] == \
+            [r.measured for r in reports]
+        for s in pts[::3]:
+            T = eval_T(net, s)
+            assert np.allclose(T, _oracle_T(net, s), rtol=1e-12,
+                               atol=1e-12 * np.abs(T).max())
+
+    def test_float_zero_sum_is_not_a_coherent_pole(self):
+        # inverses 1, 1e-17 and -1 sum to 0 in floats, to 1e-17 exactly:
+        # gbar = 3e17 is finite, so the measure is too
+        net = NetworkModel([ONE, RF([1], [1e-17]), RF([-1], [1])], ONE,
+                           builder("path", 3))
+        assert np.sum(netfreq._node_inverses(*net._rows, [0j])) == 0
+        region = FrequencyRegion("vertical_segment", 0.0, (-1, 1), 3)
+        reports, _ = sweep_region(net, region)
+        want = [np.linalg.norm(_oracle_T(net, s) - net.gbar(s) / 3 * np.ones((3, 3)), 2)
+                for s in region.points()]
+        assert np.allclose([r.measured for r in reports], want, rtol=1e-12, atol=0)
+        assert 1e17 < reports[1].measured < 1e18
+
+    def test_reports_hold_python_scalars(self):
+        net = random_swing_net(np.random.default_rng(3), 4)
+        region = FrequencyRegion("vertical_segment", 0.1, (-1, 1), 5)
+        M1, M2 = estimate_majorants(net, region)
+        assert type(M1) is float and type(M2) is float
+        for rep in sweep_region(net.scaled(100.0), region, M1, M2)[0]:
+            assert type(rep.s) is complex
+            for v in (rep.measured, rep.effective_connectivity, rep.bound):
+                assert type(v) is float
+            assert type(rep.bound_valid) is bool
+
+
+def _turbine(m, d, r_inv, tau):
+    return RF([1, tau], [d + r_inv, m + d * tau, m * tau])
+
+
+# Grids where several points fail; the sweep raises what the per-point
+# loop over the grid raises first.  Points of a 3x3 rect_grid with sigma -3
+# run Re s = 0, -1.5, -3 (outer) by omega = -1, 0, 1 (inner).
+RECT3 = FrequencyRegion("rect_grid", -3.0, (-1, 1), 3)
+SEG5 = FrequencyRegion("vertical_segment", 0.0, (-2, 2), 5)
+PRECEDENCE = {
+    # f = 1/(s^2 + 1) has poles at -j (index 1) and j; gbar has a pole at 0
+    "coupling-pole-first": (
+        NetworkModel([swing(1, 1), swing(1, -1)], RF([1], [1, 0, 1]),
+                     builder("path", 2)), SEG5, None, SingularAtSError, 1),
+    # f = 1/s and gbar share the pole s = 0
+    "coherent-pole-before-coupling-pole": (
+        NetworkModel([swing(1, 1), swing(1, -1)], INTEGRATOR,
+                     builder("path", 2, 2.0)), SEG5, None, CoherentPoleAtSError, 2),
+    # M singular at s = -1.5 (index 4); gbar has a pole at -3 (index 7)
+    "singular-before-coherent-pole": (
+        NetworkModel([swing(1, 3), swing(1, 3)], RF([-1], [1]),
+                     builder("path", 2, 0.75)), RECT3, None, SingularAtSError, 4),
+    # gbar has a pole at -1.5 (index 4); M singular at -3 (index 7)
+    "coherent-pole-before-singular": (
+        NetworkModel([swing(1, 1.5), swing(1, 1.5)], ONE,
+                     builder("path", 2, 0.75)), RECT3, None, CoherentPoleAtSError, 4),
+    # majorants already fail at index 0, M is singular at index 4
+    "majorants-before-singular": (
+        NetworkModel([swing(1, 3), swing(1, 3)], RF([-1], [1]),
+                     builder("path", 2, 0.75)), RECT3, (1e-3, 1e-3),
+        InvalidMajorantsError, 0),
+    # |gbar| first exceeds M1 at index 4, where M is singular too
+    "singular-before-majorants": (
+        NetworkModel([swing(1, 3), swing(1, 3)], RF([-1], [1]),
+                     builder("path", 2, 0.75)), RECT3, (0.6, 1e3),
+        SingularAtSError, 4),
+    # g_1 = 0 at s = -1 (index 1 of the Re = -1 segment) with a singular
+    # fallback; the infinite max|g_i^-1| there fails the majorants too
+    "node-zero-before-majorants": (
+        NetworkModel([RF([1, 1], [2, 1]), swing(1, 3)], RF([-2], [1]),
+                     builder("path", 2)),
+        FrequencyRegion("vertical_segment", -1.0, (-1, 1), 3), (1e3, 1e3),
+        NodeZeroAtSError, 1),
+    # g_1 has a zero and g_2 a pole at s = -1
+    "zero-and-pole": (
+        NetworkModel([RF([1, 1], [2, 1]), swing(1, 1)], ONE, builder("path", 2)),
+        FrequencyRegion("vertical_segment", -1.0, (-1, 1), 3), None,
+        SingularAtSError, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_sweep_raises_first_failure_in_grid_order(case):
+    net, region, majorants, error, index = PRECEDENCE[case]
+    M1, M2 = majorants or (None, None)
+    pts = region.points()
+    at_point = ((lambda s: lemma_bound(net, s, M1, M2)) if majorants
+                else (lambda s: incoherence(net, s)))
+    for s in pts[:index]:
+        at_point(s)
+    with pytest.raises(error) as single:
+        at_point(pts[index])
+    with pytest.raises(error) as swept:
+        sweep_region(net, region, M1, M2)
+    assert str(swept.value) == str(single.value)
