@@ -118,7 +118,15 @@ def _build_input(cfg: dict, n: int) -> InputSignal:
     if shape is None:
         shape = [0.0] * n
         shape[min(1, n - 1)] = -1.0
-    return InputSignal(i.get("family", "step"), shape, i.get("alpha", 0.0))
+    return InputSignal(i.get("family", "step"), _numbers(shape, "input.shape"),
+                       require_number("input.alpha", i.get("alpha", 0.0)))
+
+
+_DISTRIBUTIONS = {
+    "uniform": (ensemble.uniform, ("lo", "hi")),
+    "normal": (ensemble.normal, ("mean", "sd", "lo", "hi")),
+    "point": (ensemble.point, ("value",)),
+}
 
 
 def _build_ensemble(cfg: dict, seed: int) -> ensemble.EnsembleSpec:
@@ -128,17 +136,14 @@ def _build_ensemble(cfg: dict, seed: int) -> ensemble.EnsembleSpec:
     params = {}
     for name, d in _section(_json(e, dict, "ensemble"), "params").items():
         kind = _json(d, dict, f"distribution {name}").get("kind")
+        if kind not in _DISTRIBUTIONS:
+            raise ConfigError(f"unknown distribution kind {kind!r}")
+        make, fields = _DISTRIBUTIONS[kind]
         try:
-            if kind == "uniform":
-                params[name] = ensemble.uniform(d["lo"], d["hi"])
-            elif kind == "normal":
-                params[name] = ensemble.normal(d["mean"], d["sd"], d["lo"], d["hi"])
-            elif kind == "point":
-                params[name] = ensemble.point(d["value"])
-            else:
-                raise ConfigError(f"unknown distribution kind {kind!r}")
+            values = [require_number(f"distribution {name}.{f}", d[f]) for f in fields]
         except KeyError as exc:
             raise ConfigError(f"distribution {name} missing field {exc}") from exc
+        params[name] = make(*values)
     try:
         return ensemble.EnsembleSpec(e.get("family", "swing"), params, seed)
     except NetcohError as exc:
@@ -212,21 +217,20 @@ def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     sig = _build_input(cfg, net.n)
     sim = _section(cfg, "simulate")
-    t_end = sim.get("t_end", 20.0)
-    dt = sim.get("dt", 0.01)
+    t_end = require_number("simulate.t_end", sim.get("t_end", 20.0))
+    dt = require_number("simulate.dt", sim.get("dt", 0.01))
     inertias = sim.get("inertias")
+    if inertias is not None:
+        _numbers(inertias, "simulate.inertias")
     res = timedomain.coherence_experiment(net, sig, t_end, dt, inertias=inertias)
     meta = _provenance(digest, seed) + [
         f"dt={dt}", f"input_family={sig.family}", f"input_alpha={sig.alpha}",
     ]
-    n = net.n
-    header = "t," + ",".join(f"y_{i + 1}" for i in range(n)) + ",ybar,ycoi"
-    rows = []
-    for k, t in enumerate(res.times):
-        row = [float(t)] + [float(res.node_outputs[i, k]) for i in range(n)]
-        row.append(float(res.coherent_output[k]))
-        row.append(float(res.coi_output[k]) if res.coi_output is not None else None)
-        rows.append(row)
+    header = "t," + ",".join(f"y_{i + 1}" for i in range(net.n)) + ",ybar,ycoi"
+    coi = ([None] * len(res.times) if res.coi_output is None
+           else res.coi_output.tolist())
+    rows = zip(res.times.tolist(), *res.node_outputs.tolist(),
+               res.coherent_output.tolist(), coi)
     _write_csv(out_dir / "simulation.csv", header, rows, meta)
     return ["simulation.csv"]
 
@@ -235,9 +239,11 @@ def cmd_freqdep(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     alphas = _numbers(_section(cfg, "sweep").get("alphas", [0.25, 0.1]), "alphas")
     sim = _section(cfg, "simulate")
-    t_end = sim.get("t_end", 120.0)
-    dt = sim.get("dt", 0.01)
+    t_end = require_number("simulate.t_end", sim.get("t_end", 120.0))
+    dt = require_number("simulate.dt", sim.get("dt", 0.01))
     shape = _section(cfg, "input").get("shape")
+    if shape is not None:
+        _numbers(shape, "input.shape")
     try:
         rows = timedomain.frequency_dependence_experiment(
             net, alphas, t_end, dt, shape=shape
@@ -254,8 +260,8 @@ def cmd_concentrate(cfg, digest, seed, out_dir, config_dir):
     region = _build_region(cfg)
     sweep = _section(cfg, "sweep")
     sizes = _numbers(sweep.get("sizes", [10, 40, 160]), "sizes", integer=True)
-    trials = sweep.get("trials", 50)
-    epsilon = sweep.get("epsilon", 0.05)
+    trials = require_number("sweep.trials", sweep.get("trials", 50), integer=True)
+    epsilon = require_number("sweep.epsilon", sweep.get("epsilon", 0.05))
     full = sweep.get("full_network", False)
     runner = (ensemble.full_network_concentration if full
               else ensemble.concentration_experiment)

@@ -84,14 +84,15 @@ def require_increasing(name: str, values) -> None:
         raise NotIncreasingError(f"{name} must be strictly increasing: {values}")
 
 
-def require_number(name: str, value, integer: bool = False) -> None:
-    """Raise ValueError unless value is a finite real number, or an integer
-    when integer is set; a bool is neither."""
+def require_number(name: str, value, integer: bool = False):
+    """value, if it is a finite real number, or an integer when integer is
+    set; otherwise ValueError.  A bool is neither."""
     if (isinstance(value, bool)
             or not isinstance(value, numbers.Integral if integer else numbers.Real)
             or not (integer or math.isfinite(value))):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 class NotAPoleOfFError(NetcohError):

@@ -195,7 +195,8 @@ def test_08_time_domain_coherence_trend():
         sig = InputSignal("step", [1.0, 0.0, 0.0, 0.0])
         devs = []
         for alpha in (1.0, 10.0, 100.0):
-            # step size tracks the fastest coupling mode for RK4 stability
+            # the sampling interval tracks the fastest coupling mode, so the
+            # sampled sup of the deviation resolves its transient
             res = coherence_experiment(_k4_swing(ONE).scaled(alpha), sig,
                                        10.0, 1e-2 / alpha)
             devs.append(res.deviation_linf)

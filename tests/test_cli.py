@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from netcoh.cli import main, run
+from netcoh import timedomain
+from netcoh.cli import _build_net, main, run
 
 SWING_NET = {
     "nodes": [
@@ -14,6 +15,8 @@ SWING_NET = {
     "coupling": {"num": [1], "den": [1]},
     "laplacian": {"builder": {"kind": "complete", "n": 3, "weight": 2.0}},
 }
+
+INTEGRATOR_NET = dict(SWING_NET, coupling={"num": [1], "den": [0, 1]})
 
 CONCENTRATE_ENSEMBLE = {
     "family": "swing",
@@ -122,6 +125,28 @@ class TestSimulate:
         first = lines[lines.index(header) + 1].split(",")
         assert float(first[0]) == 0.0
         assert first[5] != ""
+
+    @pytest.mark.parametrize("inertias", [None, [1.0, 2.0, 1.2]])
+    def test_rows_are_sample_reprs(self, tmp_path, inertias):
+        sim = {"t_end": 1.0, "dt": 0.1}
+        if inertias is not None:
+            sim["inertias"] = inertias
+        cfg = {"net": SWING_NET, "simulate": sim,
+               "input": {"family": "sinusoid", "alpha": 2.0,
+                         "shape": [1.0, 0.0, -1.0]}}
+        assert run("simulate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+        res = timedomain.coherence_experiment(
+            _build_net(cfg, tmp_path),
+            timedomain.InputSignal("sinusoid", [1.0, 0.0, -1.0], 2.0),
+            1.0, 0.1, inertias=inertias)
+        want = []
+        for k, t in enumerate(res.times):
+            cells = [float(t)] + [float(y) for y in res.node_outputs[:, k]]
+            cells.append(float(res.coherent_output[k]))
+            coi = "" if inertias is None else repr(float(res.coi_output[k]))
+            want.append(",".join([repr(c) for c in cells] + [coi]))
+        lines = read_artifact(tmp_path, "simulation.csv").strip("\n").split("\n")
+        assert lines[-len(want) - 1:] == ["t,y_1,y_2,y_3,ybar,ycoi"] + want
 
     def test_unstable_exit_4(self, tmp_path):
         cfg = {
@@ -266,12 +291,59 @@ class TestErrorsAndReproducibility:
             "builder": {"kind": "complete", "n": "3"}})}, 2, "config"),
         ("analyze", {"net": SWING_NET, "sweep": {"alphas": "ab"}}, 2, "config"),
         ("analyze", [1, 2], 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {"t_end": "x"}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {"dt": "0.01"}}, 2, "config"),
+        ("freqdep", {"net": INTEGRATOR_NET, "simulate": {"dt": "0.01"}}, 2,
+         "config"),
+        ("freqdep", {"net": INTEGRATOR_NET, "simulate": {"t_end": None}}, 2,
+         "config"),
+        ("freqdep", {"net": INTEGRATOR_NET, "input": {"shape": [0, "1", 0]}},
+         2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {
+            "t_end": 1.0, "inertias": [1.0, "2", 1.0]}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {
+            "t_end": 1.0, "inertias": [1.0, 2.0]}}, 3, "LengthMismatch"),
+        ("simulate", {"net": SWING_NET, "simulate": {"t_end": 1.0},
+                      "input": {"shape": [1.0, None, 0.0]}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {"t_end": 1.0},
+                      "input": {"family": "sinusoid", "alpha": "1"}}, 2, "config"),
+        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE,
+                         "sweep": {"sizes": [4], "trials": "3"}}, 2, "config"),
+        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE,
+                         "sweep": {"sizes": [4], "trials": 2.0}}, 2, "config"),
+        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE,
+                         "sweep": {"sizes": [4], "trials": 2, "epsilon": "x"}},
+         2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "uniform", "lo": "1", "hi": 2},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "uniform", "lo": 1, "hi": [2]},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "normal", "mean": "2", "sd": 1, "lo": 1, "hi": 3},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "normal", "mean": 2, "sd": True, "lo": 1, "hi": 3},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "point", "value": "2"},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
             "string-resolution", "string-omega-range", "string-sigma",
             "region-list", "nodes-int", "float-builder-n", "string-builder-n",
-            "string-alphas", "top-level-list"])
+            "string-alphas", "top-level-list", "string-t_end", "string-dt",
+            "freqdep-string-dt", "freqdep-null-t_end", "freqdep-string-shape",
+            "string-inertia", "inertia-count", "null-shape-entry",
+            "string-alpha", "string-trials", "float-trials", "string-epsilon",
+            "string-lo", "list-hi", "string-mean", "bool-sd", "string-value"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, command, cfg,
                                        code, kind):
         path = write_cfg(tmp_path, cfg)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from netcoh import timedomain
 from netcoh.errors import LengthMismatchError, MissingReferenceError, UnstableModelError
 from netcoh.graph import builder
 from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
 from netcoh.timedomain import (
+    _expm,
     InputSignal,
     SimulationResult,
     assemble_closed_loop,
@@ -55,7 +57,7 @@ class TestSimulate:
         ss = RF([1], [1, 1]).to_state_space()
         res = simulate(ss, InputSignal("step", [1.0]), 5.0, dt=1e-3)
         exact = 1.0 - np.exp(-res.times)
-        assert np.max(np.abs(res.node_outputs[0] - exact)) < 1e-10
+        assert np.max(np.abs(res.node_outputs[0] - exact)) < 1e-12
 
     def test_first_order_sinusoid_analytic(self):
         # 1/(s+1) driven by sin(t): y = (sin t - cos t + e^{-t})/2
@@ -64,7 +66,55 @@ class TestSimulate:
                        dt=1e-3)
         t = res.times
         exact = 0.5 * (np.sin(t) - np.cos(t) + np.exp(-t))
-        assert np.max(np.abs(res.node_outputs[0] - exact)) < 1e-9
+        assert np.max(np.abs(res.node_outputs[0] - exact)) < 1e-12
+
+    def test_first_order_exp_approach_analytic(self):
+        # 1/(s+1) driven by 1 - e^{-2t}: y = 1 - 2e^{-t} + e^{-2t}
+        ss = RF([1], [1, 1]).to_state_space()
+        res = simulate(ss, InputSignal("exp_approach", [1.0], alpha=2.0), 8.0,
+                       dt=1e-3)
+        t = res.times
+        exact = 1.0 - 2.0 * np.exp(-t) + np.exp(-2.0 * t)
+        assert np.max(np.abs(res.node_outputs[0] - exact)) < 1e-12
+
+    def test_stiff_node_large_step(self):
+        # dt = 10/1000 is far beyond any explicit step limit of 1/(s+1000)
+        ss = RF([1], [1000, 1]).to_state_space()
+        res = simulate(ss, InputSignal("step", [1.0]), 2.0, dt=1e-2)
+        exact = (1.0 - np.exp(-1000.0 * res.times)) / 1000.0
+        assert np.max(np.abs(res.node_outputs[0] - exact)) < 1e-15
+
+    def test_blocks_match_stepping_oracle(self):
+        # 32 second-order nodes, second-order coupling per channel and a
+        # two-state sinusoid: ny * nz = 32 * 130 caps the block below 256
+        rng = np.random.default_rng(5)
+        nodes = []
+        for _ in range(32):
+            m, d = rng.uniform(1, 3), rng.uniform(0.5, 1.5)
+            r, tau = rng.uniform(2, 6), rng.uniform(0.5, 8)
+            nodes.append(RF([1, tau], [d + r, m + d * tau, m * tau]))
+        net = NetworkModel(nodes, RF([1], [1, 2, 1]), builder("ring", 32, 0.5))
+        model = assemble_closed_loop(net)
+        sig = InputSignal("sinusoid", rng.uniform(-1, 1, 32), alpha=0.7)
+        A_w, w0, c = sig.generator()
+        ny, nz = model.C.shape[0], model.order + len(w0)
+        assert 2 ** 20 // (ny * nz) < 256
+        res = simulate(model, sig, 10.0, dt=1e-2)
+
+        shape_c = np.outer(sig.shape, c)
+        A_aug = np.block([[model.A, model.B @ shape_c],
+                          [np.zeros((len(w0), model.order)), A_w]])
+        C_aug = np.hstack([model.C, model.D @ shape_c])
+        phi = _expm(A_aug * 1e-2)
+        z = np.concatenate([np.zeros(model.order), w0])
+        oracle = []
+        for _ in res.times:
+            oracle.append(C_aug @ z)
+            z = phi @ z
+        oracle = np.array(oracle).T
+        assert res.node_outputs.shape == oracle.shape == (32, 1001)
+        err = np.max(np.abs(res.node_outputs - oracle))
+        assert err <= 1e-12 * np.max(np.abs(oracle))
 
     def test_feedthrough_only(self):
         ss = RF([2], [1]).to_state_space()
@@ -76,10 +126,51 @@ class TestSimulate:
         with pytest.raises(UnstableModelError):
             simulate(ss, InputSignal("step", [1.0]), 1.0, dt=0.01)
 
+    @pytest.mark.parametrize("den,t_end,dt,error", [
+        ([-1, 1], 1.0, 0.01, UnstableModelError),
+        ([1, 1], 0.1, 0.1, ValueError),
+        ([1, 1], 1.0, 0.0, ValueError),
+    ])
+    def test_refused_before_discretizing(self, monkeypatch, den, t_end, dt, error):
+        def no_expm(a):
+            raise AssertionError("discretized a refused model")
+
+        monkeypatch.setattr(timedomain, "_expm", no_expm)
+        with pytest.raises(error):
+            simulate(RF([1], den).to_state_space(), InputSignal("step", [1.0]),
+                     t_end, dt=dt)
+
     def test_default_dt_respects_fastest_mode(self):
         ss = RF([1], [100, 1]).to_state_space()
         res = simulate(ss, InputSignal("step", [1.0]), 0.5)
         assert res.times[1] <= 0.1 / 100 + 1e-15
+
+
+class TestExpm:
+    def test_zero(self):
+        assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+
+    def test_diagonal(self):
+        d = np.array([-2.0, 0.5, 3.0])
+        assert np.allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+
+    def test_jordan_block(self):
+        assert np.allclose(_expm(np.array([[0.0, 2.5], [0.0, 0.0]])),
+                           [[1.0, 2.5], [0.0, 1.0]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("theta", [1.3, 150.0])
+    def test_rotation(self, theta):
+        # theta = 150 has 1-norm >= 100 and forces squaring
+        got = _expm(np.array([[0.0, theta], [-theta, 0.0]]))
+        c, s = math.cos(theta), math.sin(theta)
+        assert np.allclose(got, [[c, s], [-s, c]], rtol=0, atol=1e-12)
+
+    def test_large_norm_triangular(self):
+        a, b, d = -300.0, 200.0, -1.0
+        want = [[math.exp(a), b * (math.exp(a) - math.exp(d)) / (a - d)],
+                [0.0, math.exp(d)]]
+        assert np.allclose(_expm(np.array([[a, b], [0.0, d]])), want,
+                           rtol=1e-13, atol=1e-15)
 
 
 class TestAssembly:
@@ -169,6 +260,17 @@ class TestCoi:
         with pytest.raises(LengthMismatchError):
             coi_frequency(res, [1.0, 2.0, 3.0])
 
+    def test_length_checked_before_simulating(self, monkeypatch):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulated before checking inertias")
+
+        monkeypatch.setattr(timedomain, "simulate", no_simulate)
+        net = NetworkModel([swing(1, 1), swing(2, 1.5), swing(1.2, 0.7)],
+                           ONE, builder("complete", 3))
+        with pytest.raises(LengthMismatchError):
+            coherence_experiment(net, InputSignal("step", [1.0, 0.0, 0.0]),
+                                 1.0, 0.1, inertias=[1.0, 2.0])
+
     def test_coi_tracks_reference_in_swing_network(self):
         ms = [1.0, 2.0, 1.5]
         net = NetworkModel([swing(m, 1.0) for m in ms], INTEGRATOR,
@@ -217,6 +319,24 @@ class TestFrequencyDependence:
         rows = frequency_dependence_experiment(self._net(), [0.05, 0.5],
                                                40.0, 1e-2)
         assert rows[0][1] < rows[1][1]
+
+    def test_assembles_once(self, monkeypatch):
+        net = self._net()
+        assembled, realized = [], []
+        real_assemble, real_realize = assemble_closed_loop, RF.to_state_space
+        monkeypatch.setattr(timedomain, "assemble_closed_loop",
+                            lambda m: assembled.append(m) or real_assemble(m))
+        monkeypatch.setattr(RF, "to_state_space",
+                            lambda g: realized.append(g) or real_realize(g))
+        rows = frequency_dependence_experiment(net, [0.05, 0.5], 20.0, 1e-2)
+        assert len(assembled) == 1
+        # each node and the coupling once, gbar once
+        assert len(realized) == net.n + 2
+        shape = [0.0, -1.0, 0.0]
+        for alpha, dev in rows:
+            res = coherence_experiment(net, InputSignal("sinusoid", shape, alpha),
+                                       20.0, 1e-2)
+            assert abs(dev - res.deviation_linf) <= 1e-12
 
     def test_requires_integrator_coupling(self):
         net = NetworkModel([swing(1, 1), swing(2, 1.5)], ONE, builder("path", 2))
