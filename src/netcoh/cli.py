@@ -1,11 +1,13 @@
 """Command-line front end: one JSON config per run, CSV artifacts out.
 
-Commands: analyze, bound, simulate, freqdep, concentrate, aggregate.
+Commands: analyze, bound, simulate, freqdep, concentrate, aggregate.  Each
+maps config values, read through one typed reader (_get), to library calls
+and CSV; defaults, range checks and error kinds belong to the library.
 Every CSV starts with #-prefixed provenance lines (tool version, config
 hash, seed) and identical (config, seed) runs reproduce outputs byte for
-byte.  Exit codes: 0 success, 2 config error (including any ValueError
-from an out-of-range config value), 3 singularity/precondition error,
-4 instability refusal, 5 I/O error.
+byte.  Exit codes: 0 success, 2 config error (a missing or wrongly typed
+value, or any ValueError from an out-of-range one), 3 singularity or
+precondition error, 4 instability refusal, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 from . import __version__, ensemble, graph, netfreq, timedomain
 from .errors import (
     ConfigError,
+    DisconnectedError,
     NetcohError,
     UnstableModelError,
     require_number,
@@ -44,82 +47,78 @@ def _load_config(path: str) -> tuple[dict, str]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()[:16]
-    return _json(cfg, dict, "config"), digest
+    return _check("config", cfg, dict), digest
 
 
-def _json(value, kind, what: str):
-    """value if it is a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "an array"
-        raise ConfigError(f"{what} must be {name}, got {value!r}")
+_REQUIRED = object()
+_KIND_NAMES = {bool: "true or false", str: "a string", dict: "an object",
+               list: "an array"}
+
+
+def _get(obj: dict, key: str, kind, default=_REQUIRED):
+    """obj[key] checked against kind, or default when key is absent.
+
+    kind is float, int, bool, str, dict, list, or [kind] for an array of
+    kind; numbers go through require_number, so a bool is no number.  JSON
+    null is a wrong type for every kind.
+    """
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field {key!r}")
+        return default
+    return _check(key, obj[key], kind)
+
+
+def _check(name: str, value, kind):
+    if isinstance(kind, list):
+        for v in _check(name, value, list):
+            _check(f"{name} entry", v, kind[0])
+    elif kind in (float, int):
+        require_number(name, value, integer=kind is int)
+    elif not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _section(cfg: dict, name: str) -> dict:
-    return _json(cfg.get(name, {}), dict, name)
+def _present(obj: dict, *keys: str) -> dict:
+    """The keys of obj that are set, for a library call that owns their
+    defaults and checks."""
+    return {k: obj[k] for k in keys if k in obj}
 
 
-def _numbers(values, what: str, integer: bool = False) -> list:
-    for v in _json(values, list, what):
-        require_number(what, v, integer)
-    return values
+def _build_rational(obj: dict) -> RationalFunction:
+    return RationalFunction(_get(obj, "num", [float]), _get(obj, "den", [float]))
 
 
-def _build_rational(obj) -> RationalFunction:
-    try:
-        return RationalFunction(obj["num"], obj["den"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad rational function spec {obj!r}") from exc
-
-
-def _build_laplacian(obj, config_dir: Path) -> graph.LaplacianMatrix:
+def _build_laplacian(obj: dict, config_dir: Path) -> graph.LaplacianMatrix:
     if "file" in obj:
-        path = Path(obj["file"])
-        if not path.is_absolute():
-            path = config_dir / path
+        path = config_dir / _get(obj, "file", str)  # an absolute path stays
         if not path.exists():
             raise ConfigError(f"laplacian file {path} does not exist")
         return graph.read_edge_list(path)
     if "builder" in obj:
-        b = _json(obj["builder"], dict, "laplacian builder")
-        try:
-            return graph.builder(b["kind"], b["n"], b.get("weight", 1.0))
-        except KeyError as exc:
-            raise ConfigError(f"bad laplacian builder {b!r}") from exc
+        b = _get(obj, "builder", dict)
+        return graph.builder(b.get("kind"), b.get("n"), **_present(b, "weight"))
     raise ConfigError("laplacian needs 'file' or 'builder'")
 
 
 def _build_net(cfg: dict, config_dir: Path) -> NetworkModel:
-    try:
-        net_cfg = _json(cfg["net"], dict, "net")
-        nodes = [_build_rational(n)
-                 for n in _json(net_cfg["nodes"], list, "net.nodes")]
-        coupling = _build_rational(net_cfg["coupling"])
-        lap = _build_laplacian(_json(net_cfg["laplacian"], dict, "net.laplacian"),
-                               config_dir)
-    except KeyError as exc:
-        raise ConfigError(f"config missing net section field: {exc}") from exc
-    return NetworkModel(nodes, coupling, lap)
+    net = _get(cfg, "net", dict)
+    return NetworkModel([_build_rational(g) for g in _get(net, "nodes", [dict])],
+                        _build_rational(_get(net, "coupling", dict)),
+                        _build_laplacian(_get(net, "laplacian", dict), config_dir))
 
 
 def _build_region(cfg: dict) -> FrequencyRegion:
-    r = _section(cfg, "region")
-    return FrequencyRegion(
-        kind=r.get("kind", "vertical_segment"),
-        sigma=r.get("sigma", 0.0),
-        omega_range=r.get("omega_range", (-1.0, 1.0)),
-        resolution=r.get("resolution", 33),
-    )
+    return FrequencyRegion(**_present(_get(cfg, "region", dict, {}), "kind",
+                                      "sigma", "omega_range", "resolution"))
 
 
 def _build_input(cfg: dict, n: int) -> InputSignal:
-    i = _section(cfg, "input")
-    shape = i.get("shape")
-    if shape is None:
-        shape = [0.0] * n
-        shape[min(1, n - 1)] = -1.0
-    return InputSignal(i.get("family", "step"), _numbers(shape, "input.shape"),
-                       require_number("input.alpha", i.get("alpha", 0.0)))
+    i = _get(cfg, "input", dict, {})
+    return InputSignal(i.get("family", "step"),
+                       _get(i, "shape", [float], timedomain.default_shape(n)),
+                       _get(i, "alpha", float, 0.0))
 
 
 _DISTRIBUTIONS = {
@@ -130,22 +129,16 @@ _DISTRIBUTIONS = {
 
 
 def _build_ensemble(cfg: dict, seed: int) -> ensemble.EnsembleSpec:
-    e = cfg.get("ensemble")
-    if e is None:
-        raise ConfigError("concentrate command needs an 'ensemble' section")
+    e = _get(cfg, "ensemble", dict)
     params = {}
-    for name, d in _section(_json(e, dict, "ensemble"), "params").items():
-        kind = _json(d, dict, f"distribution {name}").get("kind")
+    for name, d in _get(e, "params", dict, {}).items():
+        kind = _get(_check(name, d, dict), "kind", str)
         if kind not in _DISTRIBUTIONS:
             raise ConfigError(f"unknown distribution kind {kind!r}")
         make, fields = _DISTRIBUTIONS[kind]
-        try:
-            values = [require_number(f"distribution {name}.{f}", d[f]) for f in fields]
-        except KeyError as exc:
-            raise ConfigError(f"distribution {name} missing field {exc}") from exc
-        params[name] = make(*values)
+        params[name] = make(*(_get(d, f, float) for f in fields))
     try:
-        return ensemble.EnsembleSpec(e.get("family", "swing"), params, seed)
+        return ensemble.EnsembleSpec(_get(e, "family", str, "swing"), params, seed)
     except NetcohError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,56 +166,49 @@ def _provenance(digest: str, seed: int) -> list[str]:
             f"seed={seed}"]
 
 
-def _sweep_rows(reports):
-    for alpha, lam2, rep in reports:
-        yield (alpha, lam2, rep.s.real, rep.s.imag, rep.measured, rep.bound,
-               rep.bound_valid, rep.effective_connectivity)
-
-
 SWEEP_HEADER = "alpha,lambda2,s_re,s_im,measured,bound,bound_valid,eff_conn"
 
 
-def cmd_analyze(cfg, digest, seed, out_dir, config_dir):
-    net = _build_net(cfg, config_dir)
-    region = _build_region(cfg)
-    alphas = _numbers(_section(cfg, "sweep").get("alphas") or [], "alphas")
+def _write_sweep(path: Path, net: NetworkModel, region: FrequencyRegion,
+                 alphas: list, provenance: list[str]) -> None:
+    """One row per Laplacian scaling and grid point: the plain sweep of L
+    when alphas is empty, else the connectivity sweep with the norm bound."""
     if alphas:
-        rows = netfreq.connectivity_sweep(net, region, alphas)
-        collected = [(row.alpha, row.lambda2, r)
-                     for row in rows for r in row.reports]
+        sweeps = [(row.alpha, row.lambda2, row.reports)
+                  for row in netfreq.connectivity_sweep(net, region, alphas)]
     else:
-        reports, _ = netfreq.sweep_region(net, region)
-        collected = [(1.0, net.laplacian.lambda2, r) for r in reports]
-    _write_csv(out_dir / "sweep.csv", SWEEP_HEADER, _sweep_rows(collected),
-               _provenance(digest, seed))
+        sweeps = [(1.0, net.laplacian.lambda2, netfreq.sweep_region(net, region)[0])]
+    rows = [(alpha, lam2, r.s.real, r.s.imag, r.measured, r.bound, r.bound_valid,
+             r.effective_connectivity)
+            for alpha, lam2, reports in sweeps for r in reports]
+    _write_csv(path, SWEEP_HEADER, rows, provenance)
+
+
+def cmd_analyze(cfg, digest, seed, out_dir, config_dir):
+    _write_sweep(out_dir / "sweep.csv", _build_net(cfg, config_dir),
+                 _build_region(cfg),
+                 _get(_get(cfg, "sweep", dict, {}), "alphas", [float], []),
+                 _provenance(digest, seed))
     return ["sweep.csv"]
 
 
 def cmd_bound(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     if net.laplacian.lambda2 <= 0:
-        from .errors import DisconnectedError
         raise DisconnectedError("connectivity bound requires lambda_2(L) > 0")
-    region = _build_region(cfg)
-    M1, M2 = netfreq.estimate_majorants(net, region)
-    reports, _ = netfreq.sweep_region(net, region, M1=M1, M2=M2)
-    lam2 = net.laplacian.lambda2
-    _write_csv(out_dir / "bound.csv", SWEEP_HEADER,
-               _sweep_rows((1.0, lam2, r) for r in reports),
-               _provenance(digest, seed))
+    _write_sweep(out_dir / "bound.csv", net, _build_region(cfg), [1.0],
+                 _provenance(digest, seed))
     return ["bound.csv"]
 
 
 def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     sig = _build_input(cfg, net.n)
-    sim = _section(cfg, "simulate")
-    t_end = require_number("simulate.t_end", sim.get("t_end", 20.0))
-    dt = require_number("simulate.dt", sim.get("dt", 0.01))
-    inertias = sim.get("inertias")
-    if inertias is not None:
-        _numbers(inertias, "simulate.inertias")
-    res = timedomain.coherence_experiment(net, sig, t_end, dt, inertias=inertias)
+    sim = _get(cfg, "simulate", dict, {})
+    dt = _get(sim, "dt", float, 0.01)
+    res = timedomain.coherence_experiment(
+        net, sig, _get(sim, "t_end", float, 20.0), dt,
+        inertias=_get(sim, "inertias", [float], None))
     meta = _provenance(digest, seed) + [
         f"dt={dt}", f"input_family={sig.family}", f"input_alpha={sig.alpha}",
     ]
@@ -237,19 +223,11 @@ def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
 
 def cmd_freqdep(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
-    alphas = _numbers(_section(cfg, "sweep").get("alphas", [0.25, 0.1]), "alphas")
-    sim = _section(cfg, "simulate")
-    t_end = require_number("simulate.t_end", sim.get("t_end", 120.0))
-    dt = require_number("simulate.dt", sim.get("dt", 0.01))
-    shape = _section(cfg, "input").get("shape")
-    if shape is not None:
-        _numbers(shape, "input.shape")
-    try:
-        rows = timedomain.frequency_dependence_experiment(
-            net, alphas, t_end, dt, shape=shape
-        )
-    except ValueError as exc:
-        raise NetcohError(str(exc)) from exc
+    sim = _get(cfg, "simulate", dict, {})
+    rows = timedomain.frequency_dependence_experiment(
+        net, _get(_get(cfg, "sweep", dict, {}), "alphas", [float], [0.25, 0.1]),
+        _get(sim, "t_end", float, 120.0), _get(sim, "dt", float, 0.01),
+        shape=_get(_get(cfg, "input", dict, {}), "shape", [float], None))
     _write_csv(out_dir / "freqdep.csv", "alpha,linf_deviation", rows,
                _provenance(digest, seed))
     return ["freqdep.csv"]
@@ -258,14 +236,13 @@ def cmd_freqdep(cfg, digest, seed, out_dir, config_dir):
 def cmd_concentrate(cfg, digest, seed, out_dir, config_dir):
     spec = _build_ensemble(cfg, seed)
     region = _build_region(cfg)
-    sweep = _section(cfg, "sweep")
-    sizes = _numbers(sweep.get("sizes", [10, 40, 160]), "sizes", integer=True)
-    trials = require_number("sweep.trials", sweep.get("trials", 50), integer=True)
-    epsilon = require_number("sweep.epsilon", sweep.get("epsilon", 0.05))
-    full = sweep.get("full_network", False)
-    runner = (ensemble.full_network_concentration if full
+    sweep = _get(cfg, "sweep", dict, {})
+    runner = (ensemble.full_network_concentration
+              if _get(sweep, "full_network", bool, False)
               else ensemble.concentration_experiment)
-    result = runner(spec, region, sizes, trials, epsilon)
+    result = runner(spec, region, _get(sweep, "sizes", [int], [10, 40, 160]),
+                    _get(sweep, "trials", int, 50),
+                    _get(sweep, "epsilon", float, 0.05))
     prov = _provenance(digest, seed)
     rows = [(n, t, d)
             for n, devs in zip(result.sizes, result.deviations)
@@ -303,19 +280,19 @@ _COMMANDS = {
 
 
 def run(command: str, config_path: str, seed: int | None = None,
-        out: str | None = None, alpha: float | None = None) -> int:
+        out: str | None = None) -> int:
     """Execute one command; returns the process exit status."""
     try:
         cfg, digest = _load_config(config_path)
         if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
-        eff_seed = seed if seed is not None else cfg.get("seed", 0)
-        if alpha is not None:
-            cfg.setdefault("input", {})["alpha"] = alpha
-        out_dir = Path(out if out is not None else cfg.get("output_dir", "."))
+        if seed is None:
+            seed = _get(cfg, "seed", int, 0)
+        out_dir = Path(out if out is not None
+                       else _get(cfg, "output_dir", str, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         config_dir = Path(config_path).resolve().parent
-        artifacts = _COMMANDS[command](cfg, digest, eff_seed, out_dir, config_dir)
+        artifacts = _COMMANDS[command](cfg, digest, seed, out_dir, config_dir)
     except ConfigError as exc:
         print(f"error: kind=config detail={exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -347,11 +324,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="override the input-signal alpha")
     args = parser.parse_args(argv)
-    return run(args.command, args.config, seed=args.seed, out=args.out,
-               alpha=args.alpha)
+    return run(args.command, args.config, seed=args.seed, out=args.out)
 
 
 if __name__ == "__main__":

@@ -121,6 +121,10 @@ class LengthMismatchError(NetcohError):
     pass
 
 
+class NotIntegratorCouplingError(NetcohError, ValueError):
+    """An experiment that needs integrator coupling f = 1/s got another f."""
+
+
 # --- ensembles ---
 
 class InvalidDistributionError(NetcohError):

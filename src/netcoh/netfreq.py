@@ -161,10 +161,6 @@ class FrequencyRegion:
         return (re_lo - pad <= z.real <= re_hi + pad
                 and w0 - pad <= z.imag <= w1 + pad)
 
-    def describe(self) -> str:
-        return (f"{self.kind}(sigma={self.sigma}, omega={list(self.omega_range)}, "
-                f"resolution={self.resolution})")
-
 
 @dataclass(frozen=True)
 class IncoherenceReport:
@@ -177,7 +173,6 @@ class IncoherenceReport:
     M2: float = math.nan
     bound: float | None = None
     bound_valid: bool = False
-    grid: str = field(default="", compare=False)
 
 
 def _pad(polys) -> np.ndarray:
@@ -253,7 +248,7 @@ def _transfer(rows, s: complex, ginv: np.ndarray, fv: complex,
     return np.linalg.solve(M, G)
 
 
-def _sweep(net: NetworkModel, pts, M1=None, M2=None, grid="", t_norm=False):
+def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
     """Incoherence reports at pts, with the norm bound when M1 and M2 are
     given, and ||T(s)||_2 at each point when t_norm.
 
@@ -277,7 +272,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, grid="", t_norm=False):
             t_norms.append(float(np.linalg.norm(T, 2)))
         eff = abs(fv) * lam2
         if not bounded:
-            reports.append(IncoherenceReport(s, measured, eff, grid=grid))
+            reports.append(IncoherenceReport(s, measured, eff))
             continue
         gmag, imax = abs(gbar), float(np.abs(row).max())
         tol = 1e-9
@@ -287,8 +282,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, grid="", t_norm=False):
         threshold = M2 + M1 * M2 * M2
         valid = eff > threshold
         bound = (M1 * M2 + 1.0) ** 2 / (eff - threshold) if valid else None
-        reports.append(IncoherenceReport(s, measured, eff, M1, M2, bound,
-                                         valid, grid))
+        reports.append(IncoherenceReport(s, measured, eff, M1, M2, bound, valid))
     return reports, t_norms
 
 
@@ -362,7 +356,7 @@ def sweep_region(net: NetworkModel, region: FrequencyRegion,
 
     When majorants are supplied each report carries the norm bound.
     """
-    reports, _ = _sweep(net, region.points(), M1, M2, grid=region.describe())
+    reports, _ = _sweep(net, region.points(), M1, M2)
     return reports, max(r.measured for r in reports)
 
 
@@ -370,7 +364,7 @@ def transfer_norm_sweep(net: NetworkModel, region: FrequencyRegion,
                         ) -> tuple[list[IncoherenceReport], list[float]]:
     """sweep_region's reports and ||T(s)||_2 at every grid point, both
     from the same solve."""
-    return _sweep(net, region.points(), grid=region.describe(), t_norm=True)
+    return _sweep(net, region.points(), t_norm=True)
 
 
 @dataclass(frozen=True)

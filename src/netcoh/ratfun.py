@@ -139,12 +139,10 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
-    """All complex roots with multiplicity, via the companion matrix.
-
-    Each root gets up to two Newton polish steps; residuals stay below
-    tol * max|coeff| for the moderate degrees used here.
-    """
+def poly_roots(p: Polynomial) -> list[complex]:
+    """All complex roots with multiplicity: the companion-matrix eigenvalues
+    (np.roots), each then polished by at most two Newton steps.  A Newton
+    step longer than 1 keeps the current value."""
     if p.degree < 1:
         raise DegreeZeroError("root finding needs degree >= 1")
     cs = np.array(p.coeffs_float())

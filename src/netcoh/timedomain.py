@@ -18,8 +18,10 @@ import numpy as np
 
 from .errors import (
     AlgebraicLoopSingularError,
+    DisconnectedError,
     LengthMismatchError,
     MissingReferenceError,
+    NotIntegratorCouplingError,
     UnstableModelError,
 )
 from .netfreq import FrequencyRegion, NetworkModel, coherent_dynamics
@@ -28,6 +30,7 @@ from .ratfun import RationalFunction, StateSpaceModel
 __all__ = [
     "InputSignal",
     "SimulationResult",
+    "default_shape",
     "StabilityCertificate",
     "assemble_closed_loop",
     "simulate",
@@ -75,6 +78,13 @@ class InputSignal:
         return float(c @ _expm(A_w * t) @ w0) * self.shape
 
 
+def default_shape(n: int) -> np.ndarray:
+    """Input shape -1 at the second node (the first when n = 1), 0 elsewhere."""
+    shape = np.zeros(n)
+    shape[min(1, n - 1)] = -1.0
+    return shape
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Sampled node outputs plus optional coherent / COI references."""
@@ -86,9 +96,7 @@ class SimulationResult:
 
     @property
     def deviation_linf(self) -> float:
-        if self.coherent_output is None:
-            raise MissingReferenceError("no coherent reference in this result")
-        return float(np.max(np.abs(self.node_outputs - self.coherent_output)))
+        return deviation_metrics(self)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,14 +327,14 @@ def frequency_dependence_experiment(net: NetworkModel, alphas_sin: list[float],
     Requires integrator coupling f = 1/s, the setting where low-frequency
     inputs force coherence.
     """
-    integrator = RationalFunction([1], [0, 1])
-    if net.coupling != integrator:
-        raise ValueError("frequency dependence experiment requires f = 1/s")
+    if net.coupling != RationalFunction([1], [0, 1]):
+        raise NotIntegratorCouplingError(
+            "frequency dependence experiment requires f = 1/s")
     if net.laplacian.lambda2 <= 0:
-        raise ValueError("network must be connected")
+        raise DisconnectedError(
+            "frequency dependence experiment requires lambda_2(L) > 0")
     if shape is None:
-        shape = np.zeros(net.n)
-        shape[min(1, net.n - 1)] = -1.0
+        shape = default_shape(net.n)
     model = assemble_closed_loop(net)
     reference = coherent_dynamics(net).to_state_space()
     rows = []

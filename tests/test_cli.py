@@ -5,6 +5,7 @@ import pytest
 
 from netcoh import timedomain
 from netcoh.cli import _build_net, main, run
+from netcoh.graph import DisconnectedWarning
 
 SWING_NET = {
     "nodes": [
@@ -99,6 +100,24 @@ class TestBound:
             else:
                 assert row[5] == ""
 
+    def test_rows_equal_analyze_at_alpha_one(self, tmp_path):
+        region = {"kind": "vertical_segment", "sigma": 0.1,
+                  "omega_range": [-1, 1], "resolution": 5}
+        bound = {"net": dict(SWING_NET, laplacian={
+            "builder": {"kind": "complete", "n": 3, "weight": 50.0}}),
+            "region": region}
+        analyze = dict(bound, sweep={"alphas": [1.0]})
+        assert run("bound", write_cfg(tmp_path, bound, "bound.json"),
+                   out=str(tmp_path)) == 0
+        assert run("analyze", write_cfg(tmp_path, analyze, "analyze.json"),
+                   out=str(tmp_path)) == 0
+        rows = {name: [l for l in read_artifact(tmp_path, name).splitlines()
+                       if not l.startswith("#")]
+                for name in ("bound.csv", "sweep.csv")}
+        assert len(rows["bound.csv"]) == 1 + 5
+        assert all(r.split(",")[6] == "true" for r in rows["bound.csv"][1:])
+        assert rows["bound.csv"] == rows["sweep.csv"]
+
     def test_singular_region_exit_3(self, tmp_path):
         cfg = {
             "net": SWING_NET,
@@ -178,6 +197,16 @@ class TestFreqdep:
         rows = {float(a): float(d) for a, d in
                 (l.split(",") for l in lines[4:])}
         assert rows[0.1] < rows[0.25]
+
+    def test_disconnected_exit_3(self, tmp_path, capsys):
+        (tmp_path / "edges.txt").write_text("n=3\n0 1 1.0\n")
+        cfg = {"net": dict(INTEGRATOR_NET, laplacian={"file": "edges.txt"}),
+               "simulate": {"t_end": 1.0}}
+        with pytest.warns(DisconnectedWarning):
+            assert run("freqdep", write_cfg(tmp_path, cfg),
+                       out=str(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: kind=Disconnected detail=")
 
 
 class TestConcentrate:
@@ -334,6 +363,33 @@ class TestErrorsAndReproducibility:
             "m": {"kind": "point", "value": "2"},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, laplacian={"file": 5})}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "output_dir": 5}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, family=[]),
+                         "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": [], "lo": 1, "hi": 2},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE,
+                         "sweep": {"sizes": [4], "trials": 2,
+                                   "full_network": "no"}}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "seed": "x"}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "seed": None}, 2, "config"),
+        ("freqdep", {"net": INTEGRATOR_NET,
+                     "simulate": {"t_end": 0.1, "dt": 0.1}}, 2, "config"),
+        ("freqdep", {"net": INTEGRATOR_NET, "sweep": {"alphas": [-0.1]},
+                     "simulate": {"t_end": 1.0}}, 2, "config"),
+        ("freqdep", {"net": SWING_NET, "simulate": {"t_end": 1.0}}, 3,
+         "NotIntegratorCoupling"),
+        ("analyze", {"net": SWING_NET, "sweep": {"alphas": None}}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "sweep": {"alphas": 0}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {"t_end": 1.0},
+                      "input": {"shape": None}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {
+            "t_end": 1.0, "inertias": None}}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, coupling={
+            "num": [True], "den": [1]})}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -343,11 +399,18 @@ class TestErrorsAndReproducibility:
             "freqdep-string-dt", "freqdep-null-t_end", "freqdep-string-shape",
             "string-inertia", "inertia-count", "null-shape-entry",
             "string-alpha", "string-trials", "float-trials", "string-epsilon",
-            "string-lo", "list-hi", "string-mean", "bool-sd", "string-value"])
-    def test_bad_value_documented_exit(self, tmp_path, capsys, command, cfg,
-                                       code, kind):
+            "string-lo", "list-hi", "string-mean", "bool-sd", "string-value",
+            "int-laplacian-file", "int-output-dir", "list-family",
+            "list-distribution-kind", "string-full-network", "string-seed",
+            "null-seed", "freqdep-dt-ge-t_end", "freqdep-negative-alpha",
+            "freqdep-not-integrator", "null-alphas", "zero-alphas",
+            "null-shape", "null-inertias", "bool-coefficient"])
+    def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
+                                       command, cfg, code, kind):
+        # no --out, so the config's output_dir is read; the default is cwd
+        monkeypatch.chdir(tmp_path)
         path = write_cfg(tmp_path, cfg)
-        assert run(command, path, out=str(tmp_path)) == code
+        assert run(command, path) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: kind={kind} detail=")
         assert "Traceback" not in err
@@ -358,6 +421,13 @@ class TestErrorsAndReproducibility:
         assert main(["concentrate", write_cfg(tmp_path, cfg), "--seed", "-1",
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: kind=config detail=")
+
+    def test_alpha_option_removed(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {"net": SWING_NET})
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", path, "--alpha", "0.5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
 
     def test_unknown_command_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, {"net": SWING_NET})

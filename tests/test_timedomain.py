@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from netcoh import timedomain
-from netcoh.errors import LengthMismatchError, MissingReferenceError, UnstableModelError
-from netcoh.graph import builder
+from netcoh.errors import (
+    DisconnectedError,
+    LengthMismatchError,
+    MissingReferenceError,
+    NotIntegratorCouplingError,
+    UnstableModelError,
+)
+from netcoh.graph import DisconnectedWarning, builder, from_edge_list
 from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
 from netcoh.timedomain import (
@@ -16,6 +22,7 @@ from netcoh.timedomain import (
     coherence_experiment,
     coherent_reference,
     coi_frequency,
+    default_shape,
     deviation_metrics,
     frequency_dependence_experiment,
     simulate,
@@ -342,3 +349,20 @@ class TestFrequencyDependence:
         net = NetworkModel([swing(1, 1), swing(2, 1.5)], ONE, builder("path", 2))
         with pytest.raises(ValueError):
             frequency_dependence_experiment(net, [0.1], 10.0, 1e-2)
+
+    def test_coupling_error_is_typed(self):
+        net = NetworkModel([swing(1, 1), swing(2, 1.5)], ONE, builder("path", 2))
+        with pytest.raises(NotIntegratorCouplingError):
+            frequency_dependence_experiment(net, [0.1], 10.0, 1e-2)
+
+    def test_requires_connected_network(self):
+        with pytest.warns(DisconnectedWarning):
+            lap = from_edge_list([(0, 1, 1.0)], 3)
+        net = NetworkModel([swing(1, 1), swing(2, 1.5), swing(1, 2)],
+                           INTEGRATOR, lap)
+        with pytest.raises(DisconnectedError):
+            frequency_dependence_experiment(net, [0.1], 10.0, 1e-2)
+
+    def test_default_shape(self):
+        assert default_shape(3).tolist() == [0.0, -1.0, 0.0]
+        assert default_shape(1).tolist() == [-1.0]
