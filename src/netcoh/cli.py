@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__, ensemble, graph, netfreq, timedomain
@@ -91,14 +92,16 @@ def _build_rational(obj: dict) -> RationalFunction:
 
 
 def _build_laplacian(obj: dict, config_dir: Path) -> graph.LaplacianMatrix:
-    if "file" in obj:
-        path = config_dir / _get(obj, "file", str)  # an absolute path stays
-        if not path.exists():
-            raise ConfigError(f"laplacian file {path} does not exist")
-        return graph.read_edge_list(path)
-    if "builder" in obj:
-        b = _get(obj, "builder", dict)
-        return graph.builder(b.get("kind"), b.get("n"), **_present(b, "weight"))
+    with warnings.catch_warnings():  # lambda2 and DisconnectedError report it
+        warnings.simplefilter("ignore", graph.DisconnectedWarning)
+        if "file" in obj:
+            path = config_dir / _get(obj, "file", str)  # an absolute path stays
+            if not path.exists():
+                raise ConfigError(f"laplacian file {path} does not exist")
+            return graph.read_edge_list(path)
+        if "builder" in obj:
+            b = _get(obj, "builder", dict)
+            return graph.builder(b.get("kind"), b.get("n"), **_present(b, "weight"))
     raise ConfigError("laplacian needs 'file' or 'builder'")
 
 

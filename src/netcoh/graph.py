@@ -113,10 +113,6 @@ class LaplacianMatrix:
         return max(int(np.sum(np.abs(self.eigenvalues) <= cutoff)), 1)
 
     @property
-    def is_connected(self) -> bool:
-        return self.n == 1 or (self.zero_multiplicity == 1 and self.lambda2 > 0)
-
-    @property
     def v_perp(self) -> np.ndarray:
         return self.eigenvectors[:, 1:]
 

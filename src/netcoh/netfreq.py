@@ -87,10 +87,6 @@ class NetworkModel:
         return len(self.nodes)
 
     @property
-    def is_homogeneous(self) -> bool:
-        return all(g == self.nodes[0] for g in self.nodes[1:])
-
-    @property
     def gbar(self) -> RationalFunction:
         """Harmonic mean of the nodes, computed exactly at most once."""
         if "gbar" not in self._shared:

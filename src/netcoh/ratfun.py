@@ -178,7 +178,7 @@ class RationalFunction:
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
-            raise ZeroDivisionError("denominator is the zero polynomial")
+            raise ValueError("denominator is the zero polynomial")
         if not num.is_zero:
             g = poly_gcd(num, den)
             if g.degree >= 1:
@@ -329,16 +329,24 @@ class RationalFunction:
 def harmonic_mean(gs: Sequence[RationalFunction]) -> RationalFunction:
     """Harmonic mean ((1/n) sum g_i^{-1})^{-1} via exact arithmetic.
 
-    For n identical inputs this returns the common g exactly.
+    Inverses den_i/num_i are grouped by monic numerator and summed over
+    one common denominator, so the result is reduced once; for n identical
+    inputs this returns the common g exactly.
     """
     if not gs:
         raise ValueError("harmonic_mean of an empty list")
-    acc = None
+    groups: dict[Polynomial, Polynomial] = {}
     for g in gs:
-        inv = g.reciprocal()  # raises ZeroFunctionError on a zero node
-        acc = inv if acc is None else acc + inv
-    mean_inv = acc.scale(Fraction(1, len(gs)))
-    return mean_inv.reciprocal()
+        if g.is_zero:
+            raise ZeroFunctionError("harmonic mean of a zero node")
+        q = g.num.monic()
+        groups[q] = groups.get(q, Polynomial([])) + g.den.scale(1 / g.num.coeffs[-1])
+    num, den = Polynomial([]), Polynomial([1])
+    for q, p in groups.items():
+        num, den = num * q + p * den, den * q
+    if num.is_zero:
+        raise ZeroFunctionError("the node inverses sum to zero")
+    return RationalFunction(den.scale(len(gs)), num)
 
 
 @dataclass(frozen=True, eq=False)

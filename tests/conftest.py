@@ -1,17 +1,18 @@
 import pytest
 
-from netcoh.ratfun import RationalFunction
+from netcoh import ensemble, netfreq
 
 
 @pytest.fixture
-def exact_additions(monkeypatch):
-    """Counts RationalFunction additions; an exact sum of n terms makes n - 1."""
+def exact_sums(monkeypatch):
+    """Counts exact harmonic means, through the bindings the library calls."""
     calls = []
-    real = RationalFunction.__add__
+    real = netfreq.harmonic_mean
 
-    def counting(self, other):
+    def counting(gs):
         calls.append(1)
-        return real(self, other)
+        return real(gs)
 
-    monkeypatch.setattr(RationalFunction, "__add__", counting)
+    monkeypatch.setattr(netfreq, "harmonic_mean", counting)
+    monkeypatch.setattr(ensemble, "harmonic_mean", counting)
     return calls

@@ -1,11 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from netcoh import timedomain
 from netcoh.cli import _build_net, main, run
-from netcoh.graph import DisconnectedWarning
 
 SWING_NET = {
     "nodes": [
@@ -74,14 +74,14 @@ class TestAnalyze:
         path = write_cfg(tmp_path, cfg)
         assert run("analyze", path, out=str(tmp_path)) == 3
 
-    def test_alpha_sweep_one_exact_sum(self, tmp_path, exact_additions):
+    def test_alpha_sweep_one_exact_sum(self, tmp_path, exact_sums):
         cfg = {
             "net": SWING_NET,
             "region": {"resolution": 3},
             "sweep": {"alphas": [10.0, 100.0, 1000.0, 10000.0]},
         }
         assert run("analyze", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
-        assert len(exact_additions) == 2
+        assert len(exact_sums) == 1
 
 
 class TestBound:
@@ -202,11 +202,14 @@ class TestFreqdep:
         (tmp_path / "edges.txt").write_text("n=3\n0 1 1.0\n")
         cfg = {"net": dict(INTEGRATOR_NET, laplacian={"file": "edges.txt"}),
                "simulate": {"t_end": 1.0}}
-        with pytest.warns(DisconnectedWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run("freqdep", write_cfg(tmp_path, cfg),
                        out=str(tmp_path)) == 3
-        assert capsys.readouterr().err.startswith(
-            "error: kind=Disconnected detail=")
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: kind=Disconnected detail=")
 
 
 class TestConcentrate:
@@ -248,10 +251,10 @@ class TestAggregate:
         assert read_artifact(tmp_path, "aggregate.txt").strip() == \
             "num=[1], den=[7, 3]"
 
-    def test_one_exact_sum(self, tmp_path, exact_additions):
+    def test_one_exact_sum(self, tmp_path, exact_sums):
         cfg = {"net": SWING_NET, "region": {"resolution": 3}}
         assert run("aggregate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
-        assert len(exact_additions) == 2
+        assert len(exact_sums) == 1
 
     def test_one_solve_per_point(self, tmp_path, monkeypatch):
         # t_norm and incoherence come from the same inverse at each point
@@ -390,6 +393,14 @@ class TestErrorsAndReproducibility:
             "t_end": 1.0, "inertias": None}}, 2, "config"),
         ("analyze", {"net": dict(SWING_NET, coupling={
             "num": [True], "den": [1]})}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, nodes=[
+            {"num": [1], "den": [0]}] + SWING_NET["nodes"][1:])}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, nodes=[
+            {"num": [1], "den": []}] + SWING_NET["nodes"][1:])}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, coupling={
+            "num": [1], "den": [0]})}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, coupling={
+            "num": [1], "den": []})}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -404,7 +415,9 @@ class TestErrorsAndReproducibility:
             "list-distribution-kind", "string-full-network", "string-seed",
             "null-seed", "freqdep-dt-ge-t_end", "freqdep-negative-alpha",
             "freqdep-not-integrator", "null-alphas", "zero-alphas",
-            "null-shape", "null-inertias", "bool-coefficient"])
+            "null-shape", "null-inertias", "bool-coefficient",
+            "zero-node-den", "empty-node-den", "zero-coupling-den",
+            "empty-coupling-den"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd

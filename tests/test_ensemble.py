@@ -328,9 +328,9 @@ class TestFloatEvaluation:
         want = _exact_route(spec, region, [3, 10, 40], 3)
         assert np.abs(np.array(got.deviations) - want).max() <= 1e-12
 
-    def test_no_exact_sums(self, exact_additions):
+    def test_no_exact_sums(self, exact_sums):
         concentration_experiment(swing_spec(2), SEGMENT, [4, 16], 3, 0.05)
-        assert len(exact_additions) == 0
+        assert len(exact_sums) == 0
 
     def test_node_zero_on_grid(self):
         # every node is (s - 0.5)/den_i; the grid passes through s = 0.5,

@@ -1,11 +1,13 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netcoh import ratfun
 from netcoh.errors import (
     DegreeZeroError,
     ImproperError,
@@ -58,6 +60,11 @@ class TestEval:
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize("den", [[0], []])
+    def test_zero_denominator_rejected(self, den):
+        with pytest.raises(ValueError):
+            rf([1], den)
+
     def test_add_same_denominator(self):
         assert rf([1], [1, 1]) + rf([1], [1, 1]) == rf([2], [1, 1])
 
@@ -90,6 +97,18 @@ class TestReciprocal:
         assert r.reciprocal().reciprocal() == r
 
 
+# constants, s+1 and 2s+2, (s+1)(s+2) and (s+1)(s+3), s^2+1
+NUMERATORS = [[1], [3], [-2], [1, 1], [2, 2], [2, 3, 1], [3, 4, 1], [1, 0, 1]]
+
+
+def _pairwise_route(gs):
+    """((1/n) sum g_i^{-1})^{-1} by reduced pairwise additions."""
+    acc = gs[0].reciprocal()
+    for g in gs[1:]:
+        acc = acc + g.reciprocal()
+    return acc.scale(Fraction(1, len(gs))).reciprocal()
+
+
 class TestHarmonicMean:
     def test_homogeneous_identity(self):
         g = rf([1], [1, 1])
@@ -119,6 +138,55 @@ class TestHarmonicMean:
             s = complex(rng.uniform(-1, 2), rng.uniform(-3, 3))
             direct = len(gs) / sum(1 / g(s) for g in gs)
             assert cmath.isclose(gbar(s), direct, rel_tol=1e-10)
+
+    @given(st.lists(st.tuples(st.sampled_from(NUMERATORS),
+                              st.lists(st.integers(-4, 4), min_size=1,
+                                       max_size=3).filter(any)),
+                    min_size=1, max_size=5))
+    @example([([1, 1], [1, 2]), ([1, 1], [3, 1])])  # repeated numerator
+    @example([([1, 1], [1, 2]), ([2, 2], [3, 1])])  # equal up to a factor
+    @example([([2, 3, 1], [5, 1]), ([3, 4, 1], [1, 0, 1])])  # shared factor
+    @example([([1], [1, 2]), ([3], [2, 0, 1])])  # constant numerators
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairwise_route(self, specs):
+        gs = [rf(num, den) for num, den in specs]
+        try:
+            want = _pairwise_route(gs)
+        except ZeroFunctionError:
+            with pytest.raises(ZeroFunctionError):
+                harmonic_mean(gs)
+            return
+        got = harmonic_mean(gs)
+        assert got == want
+        assert got.serialize() == want.serialize()
+
+    @pytest.mark.parametrize("gs", [
+        [rf([1], [1, 1]), rf([-1], [1, 1])],
+        [rf([1], [1, 1]), rf([0], [1])],
+    ], ids=["inverses-cancel", "zero-node"])
+    def test_zero_rejected(self, gs):
+        with pytest.raises(ZeroFunctionError):
+            harmonic_mean(gs)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            harmonic_mean([])
+
+    def test_one_gcd_for_turbine_nodes(self, monkeypatch):
+        # 12 turbine nodes 1/(m s + d + r/(tau s + 1)) over 8 distinct tau
+        gs = [rf([1, tau], [d + r, m + d * tau, m * tau])
+              for m, d, r, tau in ((2 + k % 3, 1 + k % 2, 3, 1 + k % 8)
+                                   for k in range(12))]
+        calls = []
+        real = ratfun.poly_gcd
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(ratfun, "poly_gcd", counting)
+        harmonic_mean(gs)
+        assert len(calls) == 1
 
 
 class TestRoots:
