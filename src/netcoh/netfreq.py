@@ -11,6 +11,7 @@ frequency regions and connectivity scalings.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -218,6 +219,21 @@ def _gbar_values(net: NetworkModel, pts, ginv: np.ndarray) -> np.ndarray:
     return gbar
 
 
+def _guarded_inverse(M: np.ndarray, error, message: str) -> np.ndarray:
+    """np.linalg.inv(M), or error(message) when cond_2(M) > _COND_LIMIT; the
+    O(n^2) bound ||A||_2^2 <= ||A||_1 ||A||_inf (Golub & Van Loan 2.3) on M
+    and its inverse settles most matrices, and the SVD decides the rest."""
+    T = None
+    with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore"):
+        T = np.linalg.inv(M)  # a non-finite T or norm fails the screen below
+        norms = [np.linalg.norm(X, p) for p in (1, np.inf) for X in (M, T)]
+        if math.sqrt(math.prod(norms)) <= _COND_LIMIT / 2:  # the 2 absorbs rounding in T
+            return T
+    if np.linalg.cond(M) > _COND_LIMIT:
+        raise error(message)
+    return np.linalg.inv(M) if T is None else T
+
+
 def _transfer(rows, s: complex, ginv: np.ndarray, fv: complex,
               L: np.ndarray) -> np.ndarray:
     """T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1} from the nodes' inverses ginv
@@ -229,18 +245,16 @@ def _transfer(rows, s: complex, ginv: np.ndarray, fv: complex,
         M = np.diag(ginv) + fv * L
         if not np.isfinite(M).all():
             raise SingularAtSError(f"closed-loop matrix not finite at s={s}")
-        if np.linalg.cond(M) > _COND_LIMIT:
-            raise SingularAtSError(f"closed-loop matrix singular at s={s}")
-        return np.linalg.inv(M)
+        return _guarded_inverse(M, SingularAtSError,
+                                f"closed-loop matrix singular at s={s}")
     nv, dv = (_horner(c, np.array([s], complex))[0] for c in rows)
     if np.any(dv == 0):
         raise SingularAtSError(
             f"s={s} is simultaneously a zero and a pole among the nodes")
     G = np.diag(nv / dv)
     M = np.eye(len(G)) + G * fv @ L
-    if np.linalg.cond(M) > _COND_LIMIT:
-        raise NodeZeroAtSError(
-            f"some g_i({s}) = 0 and the fallback formula is singular")
+    _guarded_inverse(M, NodeZeroAtSError,
+                     f"some g_i({s}) = 0 and the fallback formula is singular")
     return np.linalg.solve(M, G)
 
 

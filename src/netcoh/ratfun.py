@@ -179,7 +179,7 @@ class RationalFunction:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ValueError("denominator is the zero polynomial")
-        if not num.is_zero:
+        if num.degree >= 1 and den.degree >= 1:  # else the gcd is 1
             g = poly_gcd(num, den)
             if g.degree >= 1:
                 num, _ = divmod(num, g)
@@ -240,7 +240,12 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def scale(self, k) -> "RationalFunction":
-        return RationalFunction(self.num.scale(k), self.den)
+        if k == 0:
+            return RationalFunction(self.num.scale(k), self.den)
+        out = object.__new__(RationalFunction)  # k num stays coprime to den
+        object.__setattr__(out, "num", self.num.scale(k))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero:

@@ -24,7 +24,7 @@ from .errors import (
     NotIntegratorCouplingError,
     UnstableModelError,
 )
-from .netfreq import FrequencyRegion, NetworkModel, coherent_dynamics
+from .netfreq import FrequencyRegion, NetworkModel, _guarded_inverse, coherent_dynamics
 from .ratfun import RationalFunction, StateSpaceModel
 
 __all__ = [
@@ -136,12 +136,8 @@ def assemble_closed_loop(net: NetworkModel) -> StateSpaceModel:
     Cf = _block_diag([f_ss.C] * n) if kf else np.zeros((n, 0))
     Df = f_ss.D[0, 0] * np.eye(n)
 
-    loop = np.eye(n) + Dg @ Df @ L
-    if np.linalg.cond(loop) > 1e12:
-        raise AlgebraicLoopSingularError(
-            "direct-feedthrough loop I + D_G D_F L is singular"
-        )
-    W = np.linalg.inv(loop)
+    W = _guarded_inverse(np.eye(n) + Dg @ Df @ L, AlgebraicLoopSingularError,
+                         "direct-feedthrough loop I + D_G D_F L is singular")
 
     ng = Ag.shape[0]
     nf = Af.shape[0]

@@ -181,6 +181,17 @@ class TestSimulate:
         path = write_cfg(tmp_path, cfg)
         assert run("simulate", path, out=str(tmp_path)) == 4
 
+    def test_singular_feedthrough_loop_exit_3(self, tmp_path, capsys):
+        node = {"num": [1], "den": [1]}
+        cfg = {"net": {"nodes": [node, node],
+                       "coupling": {"num": [-0.5], "den": [1]},
+                       "laplacian": {"builder": {"kind": "path", "n": 2}}},
+               "simulate": {"t_end": 1.0, "dt": 0.1}}
+        assert run("simulate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: kind=AlgebraicLoopSingular detail=direct-feedthrough "
+                       "loop I + D_G D_F L is singular"]
+
 
 class TestFreqdep:
     def test_lower_alpha_lower_deviation(self, tmp_path):

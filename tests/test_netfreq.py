@@ -1,9 +1,10 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netcoh import netfreq
+from netcoh import netfreq, ratfun
 from netcoh.errors import (
     CoherentPoleAtSError,
     DisconnectedError,
@@ -430,6 +431,19 @@ class TestAggregateDynamics:
         net = NetworkModel([g, g], ONE, builder("path", 2))
         assert aggregate_dynamics(net) == RF([1], [2, 2])
 
+    def test_no_euclid_once_gbar_is_cached(self, monkeypatch):
+        nodes = [_turbine(2 + k % 3, 1 + k % 2, 3, 1 + k % 4) for k in range(6)]
+        net = NetworkModel(nodes, ONE, builder("ring", 6))
+        net.gbar
+        calls = []
+        real = ratfun.poly_gcd
+        monkeypatch.setattr(ratfun, "poly_gcd",
+                            lambda a, b: calls.append(1) or real(a, b))
+        aggr = aggregate_dynamics(net)
+        assert calls == []
+        monkeypatch.undo()
+        assert aggr == RF(net.gbar.num.scale(Fraction(1, 6)), net.gbar.den)
+
 
 def _oracle_T(net, s):
     """T(s) by one dense solve at one point, from the exact nodes."""
@@ -571,3 +585,64 @@ def test_sweep_raises_first_failure_in_grid_order(case):
     with pytest.raises(error) as swept:
         sweep_region(net, region, M1, M2)
     assert str(swept.value) == str(single.value)
+
+
+def _with_singular_values(sv, seed=0):
+    """Complex matrix U diag(sv) V^H from random unitary U and V."""
+    rng = np.random.default_rng(seed)
+    n = len(sv)
+    U, V = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            for _ in range(2))
+    return (U * np.asarray(sv, float)) @ V.conj().T
+
+
+GUARD_CASES = {
+    "cond-1e6": (_with_singular_values(np.geomspace(1, 1e-6, 8)), False),
+    "cond-1e11": (_with_singular_values(np.geomspace(3, 3e-11, 8)), False),
+    "cond-1e13": (_with_singular_values(np.geomspace(1, 1e-13, 8)), True),
+    "exactly-singular": (np.array([[1.0, 2.0], [2.0, 4.0]]), True),
+    "rank-deficient": (_with_singular_values([2, 1, 0.5, 0]), True),
+    "one-norm-not-inf-norm": (np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0],
+                                        [0.0, 0.0, 1.0]]), False),
+    # cond_2 = 8e11: the norm bound cannot accept it, the SVD does
+    "bound-fails-svd-accepts": (_with_singular_values(np.geomspace(1, 1.25e-12, 8)),
+                                False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_guarded_inverse_keeps_the_svd_verdict(case):
+    M, singular = GUARD_CASES[case]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert (np.linalg.cond(M) > 1e12) == singular
+        if singular:
+            with pytest.raises(SingularAtSError, match="^M singular$"):
+                netfreq._guarded_inverse(M, SingularAtSError, "M singular")
+            return
+        T = netfreq._guarded_inverse(M, SingularAtSError, "M singular")
+    assert T.dtype == M.dtype
+    assert T.tobytes() == np.linalg.inv(M).tobytes()
+
+
+def test_guard_cases_cover_both_norms_and_the_svd_step():
+    A = GUARD_CASES["one-norm-not-inf-norm"][0]
+    assert np.linalg.norm(A, 1) != np.linalg.norm(A, np.inf)
+    M = GUARD_CASES["bound-fails-svd-accepts"][0]
+    norms = [np.linalg.norm(X, p) for X in (M, np.linalg.inv(M))
+             for p in (1, np.inf)]
+    assert np.sqrt(np.prod(norms)) > netfreq._COND_LIMIT / 2
+    assert np.linalg.cond(M) <= netfreq._COND_LIMIT
+
+
+def test_well_conditioned_sweep_runs_no_svd_guard(monkeypatch):
+    calls = []
+    real = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    net = NetworkModel([swing(1 + k % 3, 1 + k % 2) for k in range(50)], ONE,
+                       builder("ring", 50))
+    region = FrequencyRegion("vertical_segment", 0.1, (-2, 2), 9)
+    rows = connectivity_sweep(net, region, [1.0, 10.0, 100.0])
+    assert len(rows) == 3 and all(len(r.reports) == 9 for r in rows)
+    assert calls == []

@@ -189,6 +189,51 @@ class TestHarmonicMean:
         assert len(calls) == 1
 
 
+def _euclid_route(num, den):
+    """num/den reduced by Euclid whatever the degrees, then den made monic,
+    built without the constructor."""
+    num, den = Polynomial(num), Polynomial(den)
+    if not num.is_zero:
+        g = poly_gcd(num, den)
+        num, den = divmod(num, g)[0], divmod(den, g)[0]
+    out = object.__new__(RationalFunction)
+    object.__setattr__(out, "num", num.scale(1 / den.coeffs[-1]))
+    object.__setattr__(out, "den", den.monic())
+    return out
+
+
+COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+
+
+class TestCanonicalShortcuts:
+    """Construction skips Euclid when a side is constant, and scale skips
+    it altogether; both must give the Euclid route's canonical form."""
+
+    @given(COEFFS, COEFFS.filter(any))
+    @example([3], [2, 0, 1])  # constant numerator
+    @example([2, 3, 1], [5])  # constant denominator
+    @example([0], [1, 1])  # zero function
+    @example([2, 2], [1, 1])  # common factor
+    @settings(max_examples=80, deadline=None)
+    def test_construction_matches_euclid(self, num, den):
+        got, want = rf(num, den), _euclid_route(num, den)
+        assert got == want
+        assert got.serialize() == want.serialize()
+
+    @given(COEFFS, COEFFS.filter(any),
+           st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    @example([1, 1], [2, 3, 1], Fraction(0))
+    @example([3], [2, 0, 1], Fraction(1, 3))
+    @example([2, 3, 1], [5], Fraction(-2))
+    @settings(max_examples=80, deadline=None)
+    def test_scale_matches_euclid(self, num, den, k):
+        r = rf(num, den)
+        got = r.scale(k)
+        want = _euclid_route(r.num.scale(k).coeffs, r.den.coeffs)
+        assert got == want
+        assert got.serialize() == want.serialize()
+
+
 class TestRoots:
     def test_linear(self):
         assert poly_roots(Polynomial([1, 1])) == pytest.approx([-1])

@@ -5,6 +5,7 @@ import pytest
 
 from netcoh import timedomain
 from netcoh.errors import (
+    AlgebraicLoopSingularError,
     DisconnectedError,
     LengthMismatchError,
     MissingReferenceError,
@@ -205,6 +206,13 @@ class TestAssembly:
         model = assemble_closed_loop(net)
         # 3 first-order nodes plus one coupling state per channel
         assert model.order == 6
+
+    def test_singular_feedthrough_loop(self):
+        # g = 1 and f = -0.5 on one unit edge: I + D_G D_F L = [[.5, .5], [.5, .5]]
+        net = NetworkModel([ONE, ONE], RF([-0.5], [1]), builder("path", 2))
+        with pytest.raises(AlgebraicLoopSingularError,
+                           match="direct-feedthrough loop I \\+ D_G D_F L is singular"):
+            assemble_closed_loop(net)
 
 
 class TestCoherentReference:
