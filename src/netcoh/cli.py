@@ -262,10 +262,10 @@ def cmd_aggregate(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     region = _build_region(cfg)
     aggr = netfreq.aggregate_dynamics(net)
-    (out_dir / "aggregate.txt").write_text(aggr.serialize() + "\n")
     reports, t_norms = netfreq.transfer_norm_sweep(net, region)
     rows = [(r.s.real, r.s.imag, t, abs(net.n * aggr(r.s)), r.measured)
             for r, t in zip(reports, t_norms)]
+    (out_dir / "aggregate.txt").write_text(aggr.serialize() + "\n")
     _write_csv(out_dir / "aggregate_compare.csv",
                "s_re,s_im,t_norm,coherent_gain,incoherence", rows,
                _provenance(digest, seed))

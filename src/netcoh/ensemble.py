@@ -287,6 +287,9 @@ def _run_concentration(spec, region, sizes, trials, epsilon, deviation,
 
     deviation(n, stream_index, pts, ghat_vals) gives one trial's grid sup.
     """
+    if trials < 1 or not sizes:
+        raise ValueError(f"need trials >= 1 and at least one size, got trials={trials}, "
+                         f"sizes={sizes}")
     require_increasing("sizes", sizes)
     pts, ghat_vals, certified = _ghat_on_grid(spec, region)
     deviations = [

@@ -133,7 +133,7 @@ def from_edge_list(edges, n: int) -> LaplacianMatrix:
     for i, j, w in edges:
         if i == j:
             raise SelfLoopError(f"self loop at node {i}")
-        if w <= 0:
+        if require_number(f"edge ({i},{j}) weight", w) <= 0:
             raise NonPositiveWeightError(f"edge ({i},{j}) has weight {w}")
         if not (0 <= i < n and 0 <= j < n):
             raise NodeOutOfRangeError(f"edge ({i},{j}) outside 0..{n - 1}")

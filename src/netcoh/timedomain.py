@@ -12,7 +12,7 @@ state (Van Loan 1978).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
     "StabilityCertificate",
     "assemble_closed_loop",
     "simulate",
-    "coherent_reference",
+    "coherence_realization",
     "deviation_metrics",
     "coi_frequency",
     "stability_check",
@@ -158,6 +158,16 @@ def assemble_closed_loop(net: NetworkModel) -> StateSpaceModel:
     return StateSpaceModel(A, B, Cy, Dy)
 
 
+def coherence_realization(net: NetworkModel) -> StateSpaceModel:
+    """One realization of u -> [y; ybar]: the closed loop stacked with gbar
+    driven by the mean input (1^T u)/n, so output n + 1 is the coherent
+    reference."""
+    loop, ref = assemble_closed_loop(net), coherent_dynamics(net).to_state_space()
+    mean = np.full((1, net.n), 1.0 / net.n)
+    return StateSpaceModel(_block_diag([loop.A, ref.A]), np.vstack([loop.B, ref.B @ mean]),
+                           _block_diag([loop.C, ref.C]), np.vstack([loop.D, ref.D @ mean]))
+
+
 # [13/13] Pade coefficients and the 1-norm up to which that approximant is
 # accurate to double precision without squaring (Higham 2005)
 _PADE13 = [math.comb(13, k) / (math.comb(26, k) * math.factorial(k)) for k in range(14)]
@@ -229,18 +239,6 @@ def simulate(model: StateSpaceModel, input_signal: InputSignal,
     return SimulationResult(times=times, node_outputs=ys)
 
 
-def coherent_reference(net: NetworkModel, input_signal: InputSignal,
-                       t_end: float, dt: float) -> np.ndarray:
-    """Response of gbar(s) to the averaged scalar input (1^T u(t))/n."""
-    model = coherent_dynamics(net).to_state_space()
-    return simulate(model, _mean_input(input_signal, net.n), t_end, dt).node_outputs[0]
-
-
-def _mean_input(input_signal: InputSignal, n: int) -> InputSignal:
-    mean_shape = np.array([float(np.sum(input_signal.shape)) / n])
-    return InputSignal(input_signal.family, mean_shape, input_signal.alpha)
-
-
 def deviation_metrics(result: SimulationResult) -> tuple[float, np.ndarray]:
     """Per-node sup_t |y_i - ybar| and the max over nodes."""
     if result.coherent_output is None:
@@ -308,11 +306,13 @@ def coherence_experiment(net: NetworkModel, input_signal: InputSignal,
     """Simulate the closed loop and attach the coherent (and COI) references."""
     if inertias is not None:
         _inertia_weights(inertias, net.n)  # a wrong length fails before simulating
-    res = simulate(assemble_closed_loop(net), input_signal, t_end, dt)
-    ybar = coherent_reference(net, input_signal, t_end, dt)
-    coi = None if inertias is None else coi_frequency(res, inertias)
-    return SimulationResult(times=res.times, node_outputs=res.node_outputs,
-                            coherent_output=ybar, coi_output=coi)
+    res = _split(simulate(coherence_realization(net), input_signal, t_end, dt))
+    return res if inertias is None else replace(res, coi_output=coi_frequency(res, inertias))
+
+
+def _split(res: SimulationResult) -> SimulationResult:
+    """y and ybar from the stacked outputs of a coherence_realization run."""
+    return SimulationResult(res.times, res.node_outputs[:-1], res.node_outputs[-1])
 
 
 def frequency_dependence_experiment(net: NetworkModel, alphas_sin: list[float],
@@ -331,12 +331,7 @@ def frequency_dependence_experiment(net: NetworkModel, alphas_sin: list[float],
             "frequency dependence experiment requires lambda_2(L) > 0")
     if shape is None:
         shape = default_shape(net.n)
-    model = assemble_closed_loop(net)
-    reference = coherent_dynamics(net).to_state_space()
-    rows = []
-    for alpha in alphas_sin:
-        sig = InputSignal("sinusoid", shape, alpha)
-        y = simulate(model, sig, t_end, dt).node_outputs
-        ybar = simulate(reference, _mean_input(sig, net.n), t_end, dt).node_outputs[0]
-        rows.append((float(alpha), float(np.max(np.abs(y - ybar)))))
-    return rows
+    model = coherence_realization(net)
+    return [(float(alpha), _split(simulate(model, InputSignal("sinusoid", shape, alpha),
+                                           t_end, dt)).deviation_linf)
+            for alpha in alphas_sin]

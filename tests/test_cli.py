@@ -245,6 +245,19 @@ class TestConcentrate:
         path = write_cfg(tmp_path, {"sweep": {}})
         assert run("concentrate", path, out=str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("sweep", [{"sizes": [4], "trials": 0},
+                                       {"sizes": [4], "trials": -3},
+                                       {"sizes": [], "trials": 2}],
+                             ids=["zero-trials", "negative-trials", "empty-sizes"])
+    def test_empty_run_exit_2(self, tmp_path, capsys, sweep):
+        cfg = {"ensemble": CONCENTRATE_ENSEMBLE, "sweep": sweep}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("concentrate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 2
+        assert caught == []
+        assert capsys.readouterr().err.startswith("error: kind=config detail=need trials")
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestAggregate:
     def test_swing_serialization(self, tmp_path):
@@ -261,6 +274,14 @@ class TestAggregate:
         assert run("aggregate", path, out=str(tmp_path)) == 0
         assert read_artifact(tmp_path, "aggregate.txt").strip() == \
             "num=[1], den=[7, 3]"
+
+    def test_failed_sweep_writes_nothing(self, tmp_path, capsys):
+        # s = 0 is on the grid and a pole of f = 1/s
+        cfg = {"net": INTEGRATOR_NET, "region": {"resolution": 3}}
+        out = tmp_path / "out"
+        assert run("aggregate", write_cfg(tmp_path, cfg), out=str(out)) == 3
+        assert capsys.readouterr().err.startswith("error: kind=SingularAtS detail=")
+        assert list(out.iterdir()) == []
 
     def test_one_exact_sum(self, tmp_path, exact_sums):
         cfg = {"net": SWING_NET, "region": {"resolution": 3}}
@@ -452,6 +473,20 @@ class TestErrorsAndReproducibility:
             main(["simulate", path, "--alpha", "0.5", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_edge_weight_exit_2(self, tmp_path, capsys, command, weight):
+        (tmp_path / "edges.txt").write_text(f"0 1 {weight}\n1 2 1.0\n")
+        cfg = {"net": dict(SWING_NET, laplacian={"file": "edges.txt"}),
+               "simulate": {"t_end": 1.0}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, write_cfg(tmp_path, cfg), out=str(tmp_path)) == 2
+        assert caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: kind=config detail=edge (0,1) weight must be a finite number, "
+            f"got {weight}"]
 
     def test_unknown_command_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, {"net": SWING_NET})

@@ -55,6 +55,14 @@ class TestDistribution:
         assert d.mean() == 4.2
         assert d.is_point
 
+    @pytest.mark.parametrize("mu,value", [(1.5, 1.5), (-3.0, 1.0), (9.0, 2.0)])
+    def test_zero_sd_normal_is_a_clipped_point(self, mu, value):
+        # sd = 0 puts all mass at mu, clipped into [lo, hi] = [1, 2]
+        d = normal(mu, 0.0, 1.0, 2.0)
+        assert np.all(d.sample(np.random.default_rng(3), 4) == value)
+        assert d.mean() == value
+        assert d.is_point
+
     def test_truncated_normal_draws_follow_rejection_loop(self):
         # the rejection-round cap leaves successful draws bit-identical
         d = normal(0.5, 1.0, 0.0, 1.0)
@@ -255,6 +263,14 @@ class TestConcentration:
     def test_sizes_must_increase(self):
         with pytest.raises(ValueError):
             concentration_experiment(swing_spec(), SEGMENT, [4, 4], 2, 0.1)
+
+    @pytest.mark.parametrize("run", [concentration_experiment,
+                                     full_network_concentration])
+    @pytest.mark.parametrize("sizes,trials", [([4], 0), ([4], -3), ([], 2)],
+                             ids=["zero-trials", "negative-trials", "empty-sizes"])
+    def test_empty_run_rejected(self, run, sizes, trials):
+        with pytest.raises(ValueError, match="trials >= 1 and at least one size"):
+            run(swing_spec(), SEGMENT, sizes, trials, 0.1)
 
     def test_metadata_flags_mc_fallback(self):
         spec = EnsembleSpec(

@@ -45,6 +45,11 @@ class TestFromEdgeList:
         with pytest.raises(NodeOutOfRangeError):
             from_edge_list([(0, 5, 1.0)], 2)
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            from_edge_list([(0, 1, w)], 2)
+
 
 class TestBuilders:
     def test_complete_lambda2(self):

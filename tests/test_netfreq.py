@@ -269,6 +269,16 @@ class TestMajorants:
             estimate_majorants(net, region)
         assert exc.value.root == pytest.approx(-1.0)
 
+    def test_node_zero_in_region_rejected(self):
+        # g_1 = (s - 0.2)/(s + 1) vanishes at 0.2, inside Re(s) in [0, 0.5];
+        # gbar = 2(s - 0.2)/((s + 1)(s + 0.8)) has no pole there
+        net = NetworkModel([RF([-0.2, 1], [1, 1]), RF([1], [1, 1])], ONE,
+                           builder("path", 2))
+        region = FrequencyRegion("rect_grid", 0.5, (-1, 1), 5)
+        with pytest.raises(RegionContainsSingularityError, match="node zero") as exc:
+            estimate_majorants(net, region)
+        assert exc.value.root == pytest.approx(0.2)
+
     def test_constant_function(self):
         g = RF([2], [1])
         net = NetworkModel([g, g], ONE, builder("path", 2))

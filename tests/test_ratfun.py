@@ -311,6 +311,20 @@ class TestPassivity:
         cert = passivity_check(rf([1], [1, 1]), "osp")
         assert "log-spaced" in cert.grid_resolution
 
+    def test_osp_failure_reports_worst_grid_point(self):
+        # all-pass (1 - s)/(1 + s): Re r / |r|^2 = (1 - w^2)/(1 + w^2) on the
+        # imaginary axis, most negative at the top of the grid, w = 1e3
+        r = rf([1, -1], [1, 1])
+        cert = passivity_check(r, "osp")
+        assert (cert.kind, cert.epsilon) == ("fails", 0.0)
+        assert cert.witness.imag == pytest.approx(1e3)
+        assert r(cert.witness).real < -0.99
+
+    def test_repeated_imaginary_axis_pole_fails(self):
+        cert = passivity_check(rf([1], [0, 0, 1]), "positive_real")
+        assert cert.kind == "fails"
+        assert cert.witness == pytest.approx(0.0)
+
 
 class TestSerialization:
     def test_integer_form(self):

@@ -21,7 +21,7 @@ from netcoh.timedomain import (
     SimulationResult,
     assemble_closed_loop,
     coherence_experiment,
-    coherent_reference,
+    coherence_realization,
     coi_frequency,
     default_shape,
     deviation_metrics,
@@ -216,6 +216,23 @@ class TestAssembly:
 
 
 class TestCoherentReference:
+    @pytest.mark.parametrize("f", [ONE, RF([1], [1, 1]), RF([2, 1], [1, 1]),
+                                   INTEGRATOR])
+    def test_realization_matches_frequency_response(self, f):
+        # outputs 1..n are T(s), output n + 1 is gbar(s)/n times 1^T
+        rng = np.random.default_rng(11)
+        for k in range(5):
+            n = int(rng.integers(2, 6))
+            net = NetworkModel([swing(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+                                for _ in range(n)],
+                               f, builder(["complete", "ring", "star", "path"][k % 4], n))
+            model = coherence_realization(net)
+            assert model.response(0.5).shape == (n + 1, n)
+            for _ in range(5):
+                s = complex(rng.uniform(0.05, 2.0), rng.uniform(-3.0, 3.0))
+                want = np.vstack([eval_T(net, s), np.full((1, n), net.gbar(s) / n)])
+                assert np.max(np.abs(model.response(s) - want)) < 1e-10
+
     def test_homogeneous_network_is_exactly_coherent(self):
         g = RF([1], [1, 1])
         net = NetworkModel([g, g, g], ONE, builder("complete", 3))
@@ -227,7 +244,7 @@ class TestCoherentReference:
     def test_scalar_reference_oracle(self):
         net = NetworkModel([swing(1, 2), swing(3, 4)], ONE, builder("path", 2))
         sig = InputSignal("step", [1.0, 0.0])
-        ybar = coherent_reference(net, sig, 3.0, 1e-3)
+        ybar = coherence_experiment(net, sig, 3.0, 1e-3).coherent_output
         # gbar = 2/(4s+6); mean input 1/2; step response (1/6)(1-e^{-1.5 t})
         t = np.arange(0, 3.0 + 1e-9, 1e-3)
         exact = (1.0 - np.exp(-1.5 * t)) / 6.0
