@@ -234,6 +234,18 @@ def _guarded_inverse(M: np.ndarray, error, message: str) -> np.ndarray:
     return np.linalg.inv(M) if T is None else T
 
 
+def _norm2(X: np.ndarray) -> float:
+    """||X||_2 as sqrt(lambda_max(X^H X)), relative error about eps (Golub &
+    Van Loan 8.6).  X is overwritten: scaled in place, exactly, by 2^-e with
+    2^e at or above its largest entry, so X^H X neither overflows nor
+    underflows."""
+    e = math.frexp(float(np.abs(X).max()))[1]
+    for half in (e // 2, e - e // 2):  # 2.0 ** -e overflows for subnormal peaks
+        X *= 2.0 ** -half
+    lam = np.linalg.eigvalsh(X.conj().T @ X)[-1]
+    return math.ldexp(math.sqrt(max(lam, 0.0)), e)
+
+
 def _transfer(rows, s: complex, ginv: np.ndarray, fv: complex,
               L: np.ndarray) -> np.ndarray:
     """T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1} from the nodes' inverses ginv
@@ -277,9 +289,9 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
                 f"s={s} is a pole of the coherent dynamics; measure undefined")
         fv = net.coupling(s)
         T = _transfer(rows, s, row, fv, L)
-        measured = float(np.linalg.norm(T - gbar / n, 2))
+        measured = _norm2(T - gbar / n)
         if t_norm:
-            t_norms.append(float(np.linalg.norm(T, 2)))
+            t_norms.append(_norm2(T))  # T's last use: _norm2 overwrites it
         eff = abs(fv) * lam2
         if not bounded:
             reports.append(IncoherenceReport(s, measured, eff))
@@ -406,8 +418,17 @@ def connectivity_sweep(net: NetworkModel, region: FrequencyRegion,
     return rows
 
 
+def _require_positive(name: str, value) -> None:
+    if not require_number(name, value) > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def loglog_slope(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x); x, y > 0, x not all equal."""
+    if len(xs) != len(ys) or len(set(xs)) < 2:
+        raise ValueError(f"need 2 or more distinct x, one y each; got {xs!r}, {ys!r}")
+    for v in (*xs, *ys):
+        _require_positive("each x and y", v)
     lx = np.log(np.asarray(xs))
     ly = np.log(np.asarray(ys))
     return float(np.polyfit(lx, ly, 1)[0])
@@ -416,7 +437,10 @@ def loglog_slope(xs: list[float], ys: list[float]) -> float:
 def pole_approach_sweep(net: NetworkModel, pole_of_f: complex,
                         radii: list[float], direction: complex = 1.0,
                         ) -> list[tuple[float, float]]:
-    """Incoherence at s = pole_of_f + radius * direction for each radius."""
+    """Incoherence at s = pole_of_f + radius * direction for each radius > 0."""
+    for r in radii:
+        _require_positive("radius", r)
+    _require_positive("|direction|", abs(direction))
     if net.laplacian.lambda2 <= 0:
         raise DisconnectedError("pole approach requires lambda_2(L) > 0")
     f_poles = net.coupling.poles()

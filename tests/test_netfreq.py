@@ -1,8 +1,13 @@
+import contextlib
+import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcoh import netfreq, ratfun
 from netcoh.errors import (
@@ -373,6 +378,39 @@ class TestPoleApproach:
         with pytest.raises(DisconnectedError):
             pole_approach_sweep(net, 0.0, [0.1])
 
+    @pytest.mark.parametrize("radii, direction, message", [
+        ([0.1, -0.01], 1.0, "radius must be positive"),
+        ([0.1, 0.0], 1.0, "radius must be positive"),
+        ([float("nan")], 1.0, "radius must be a finite number"),
+        ([float("inf")], 1.0, "radius must be a finite number"),
+        ([0.1], 0, r"direction\| must be positive"),
+        ([0.1], complex(float("nan"), 1.0), r"direction\| must be a finite number"),
+    ], ids=["negative-radius", "zero-radius", "nan-radius", "inf-radius",
+            "zero-direction", "nan-direction"])
+    def test_bad_radius_or_direction_rejected(self, radii, direction, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                pole_approach_sweep(self._swing_net(), 0.0, radii, direction)
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    ([1.0, 10.0], [1.0, 0.0], "must be positive"),
+    ([-1.0, 10.0], [1.0, 2.0], "must be positive"),
+    ([1.0, 10.0], [1.0, float("nan")], "must be a finite number"),
+    ([1.0, float("inf")], [1.0, 2.0], "must be a finite number"),
+    ([1.0, 10.0, 100.0], [1.0, 2.0], "need 2 or more"),
+    ([1.0], [1.0], "need 2 or more"),
+    ([], [], "need 2 or more"),
+    ([2.0, 2.0], [1.0, 3.0], "need 2 or more"),
+], ids=["zero-y", "negative-x", "nan-y", "inf-x", "unequal-lengths",
+        "one-point", "empty", "equal-x"])
+def test_loglog_slope_rejects_bad_points(xs, ys, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            loglog_slope(xs, ys)
+
 
 class TestDecomposition:
     def test_k3_at_j(self):
@@ -656,3 +694,78 @@ def test_well_conditioned_sweep_runs_no_svd_guard(monkeypatch):
     rows = connectivity_sweep(net, region, [1.0, 10.0, 100.0])
     assert len(rows) == 3 and all(len(r.reports) == 9 for r in rows)
     assert calls == []
+
+
+def test_well_conditioned_sweeps_run_no_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # np.linalg.norm and np.linalg.cond call the SVD of numpy's inner module
+    inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    for module in (np.linalg, inner):
+        monkeypatch.setattr(module, "svd", counting)
+    net = NetworkModel([swing(1 + k % 3, 1 + k % 2) for k in range(50)], ONE,
+                       builder("ring", 50))
+    region = FrequencyRegion("vertical_segment", 0.1, (-2, 2), 9)
+    rows = connectivity_sweep(net, region, [1.0, 10.0, 100.0])
+    reports, t_norms = transfer_norm_sweep(net, region)
+    assert len(rows) == 3 and all(len(r.reports) == 9 for r in rows)
+    assert len(reports) == len(t_norms) == 9
+    assert calls == []
+
+
+@contextlib.contextmanager
+def _strict():
+    """Warnings and every numpy floating-point error raise."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        yield
+
+
+class TestNorm2:
+    @given(st.integers(1, 64), st.integers(1, 64), st.booleans(),
+           st.booleans(), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_svd_norm(self, m, n, is_complex, rank_one, decades, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if is_complex else x
+
+        X = np.outer(draw(m), draw(n)) if rank_one else draw(m, n)
+        X *= np.geomspace(1.0, 10.0 ** -decades, n)  # column scales
+        ref = np.linalg.norm(X, 2)
+        with _strict():
+            got = netfreq._norm2(X)
+        assert type(got) is float
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_zero_matrix(self):
+        with _strict():
+            got = netfreq._norm2(np.zeros((5, 3), complex))
+        assert type(got) is float and got == 0.0 and math.copysign(1, got) == 1
+
+    def test_one_by_one(self):
+        with _strict():
+            assert netfreq._norm2(np.array([[3.0 - 4.0j]])) == 5.0
+
+    @pytest.mark.parametrize("peak", [1e-310, 1e-300, 1e200, 1e300])
+    def test_extreme_magnitudes(self, peak):
+        rng = np.random.default_rng(3)
+        # small integers: scaling them by a power of two is exact, even
+        # into the subnormal range
+        A = rng.integers(-8, 9, (12, 7)) + 1j * rng.integers(-8, 9, (12, 7))
+        k = math.frexp(peak / np.abs(A).max())[1]
+        X = A * math.ldexp(1.0, k)
+        ref = math.ldexp(np.linalg.norm(A, 2), k)
+        with _strict():
+            got = netfreq._norm2(X)
+        assert type(got) is float
+        # a subnormal result carries only the absolute precision 2**-1074
+        slack = math.ulp(0.0) if ref < sys.float_info.min else 0.0
+        assert abs(got - ref) <= 1e-14 * ref + slack
