@@ -118,7 +118,7 @@ class LaplacianMatrix:
 
     def scale(self, alpha: float) -> "LaplacianMatrix":
         """alpha * L; spectrum scales linearly, eigenvectors unchanged."""
-        if alpha <= 0:
+        if require_number("alpha", alpha) <= 0:
             raise NonPositiveAlphaError(f"alpha must be positive, got {alpha}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DisconnectedWarning)

@@ -140,10 +140,13 @@ class FrequencyRegion:
             raise ValueError("resolution must be >= 2")
         if not self.omega_range[0] < self.omega_range[1]:
             raise ValueError("omega_range must be increasing")
+        require_number("omega_range width", w[1] - w[0])  # else the grid overflows
 
     def points(self) -> list[complex]:
         w0, w1 = self.omega_range
         omegas = np.linspace(w0, w1, self.resolution)
+        if w0 == -w1:  # mirror exactly, so _sweep solves each conjugate pair once
+            omegas = (omegas - omegas[::-1]) / 2
         if self.kind == "vertical_segment":
             return [complex(self.sigma, w) for w in omegas]
         sigmas = np.linspace(0.0, self.sigma, self.resolution)
@@ -274,24 +277,30 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
     """Incoherence reports at pts, with the norm bound when M1 and M2 are
     given, and ||T(s)||_2 at each point when t_norm.
 
-    One closed-loop solve per point, in grid order; at one point the checks
+    Real coefficients give T(conj s) = conj T(s), so the closed loop is
+    solved once per conjugate class (Re s, |Im s|), at its first point in
+    grid order, and later points reuse its norms.  At each point the checks
     run coherent pole, coupling pole, singular matrix or node zero, then
-    majorants.
+    majorants; a reused point passes the middle two as its class did.
     """
     rows, L, n = net._rows, net.laplacian.entries, net.n
     ginv = _node_inverses(*rows, pts)
     bounded = M1 is not None and M2 is not None
     lam2 = net.laplacian.lambda2
-    reports, t_norms = [], []
+    reports, t_norms, solved = [], [], {}
     for s, row, gbar in zip(pts, ginv, _gbar_values(net, pts, ginv).tolist()):
         if not cmath.isfinite(gbar):
             raise CoherentPoleAtSError(
                 f"s={s} is a pole of the coherent dynamics; measure undefined")
         fv = net.coupling(s)
-        T = _transfer(rows, s, row, fv, L)
-        measured = _norm2(T - gbar / n)
+        key = (s.real, abs(s.imag))
+        if key not in solved:
+            T = _transfer(rows, s, row, fv, L)
+            # T's last use is the second _norm2, which overwrites it
+            solved[key] = (_norm2(T - gbar / n), _norm2(T) if t_norm else None)
+        measured, t = solved[key]
         if t_norm:
-            t_norms.append(_norm2(T))  # T's last use: _norm2 overwrites it
+            t_norms.append(t)
         eff = abs(fv) * lam2
         if not bounded:
             reports.append(IncoherenceReport(s, measured, eff))

@@ -288,8 +288,8 @@ class TestAggregate:
         assert run("aggregate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
         assert len(exact_sums) == 1
 
-    def test_one_solve_per_point(self, tmp_path, monkeypatch):
-        # t_norm and incoherence come from the same inverse at each point
+    @staticmethod
+    def _inversions(tmp_path, monkeypatch, region):
         inverted = []
         real = np.linalg.inv
 
@@ -298,9 +298,18 @@ class TestAggregate:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "inv", counting)
-        cfg = {"net": SWING_NET, "region": {"resolution": 17}}
+        cfg = {"net": SWING_NET, "region": region}
         assert run("aggregate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
-        assert sum(inverted) == 17
+        return sum(inverted)
+
+    def test_one_solve_per_point(self, tmp_path, monkeypatch):
+        # t_norm and incoherence come from the same inverse at each point,
+        # and a point's conjugate reuses it: 8 pairs and the real point
+        assert self._inversions(tmp_path, monkeypatch, {"resolution": 17}) == 9
+
+    def test_one_solve_per_point_without_conjugates(self, tmp_path, monkeypatch):
+        region = {"resolution": 17, "omega_range": [0.1, 1.0]}
+        assert self._inversions(tmp_path, monkeypatch, region) == 17
 
 
 class TestErrorsAndReproducibility:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,13 @@ class TestScale:
     def test_nonpositive_alpha(self):
         with pytest.raises(NonPositiveAlphaError):
             builder("path", 2).scale(0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True, "2"])
+    def test_non_number_alpha(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^alpha must be a finite number"):
+                builder("path", 2).scale(alpha)
 
 
 class TestInvariants:

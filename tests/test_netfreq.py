@@ -14,6 +14,7 @@ from netcoh.errors import (
     CoherentPoleAtSError,
     DisconnectedError,
     InvalidMajorantsError,
+    NetcohError,
     NodeZeroAtSError,
     NotAPoleOfFError,
     NotIncreasingError,
@@ -769,3 +770,128 @@ class TestNorm2:
         # a subnormal result carries only the absolute precision 2**-1074
         slack = math.ulp(0.0) if ref < sys.float_info.min else 0.0
         assert abs(got - ref) <= 1e-14 * ref + slack
+
+
+class TestRegionPoints:
+    @pytest.mark.parametrize("kind", ["vertical_segment", "rect_grid"])
+    @pytest.mark.parametrize("w1,resolution", [(1.3, 33), (0.7, 17), (3.0, 101)])
+    def test_symmetric_range_is_mirrored(self, kind, w1, resolution):
+        lin = np.linspace(-w1, w1, resolution)
+        assert not np.array_equal(lin, -lin[::-1])  # linspace alone is not
+        pts = FrequencyRegion(kind, 0.2, (-w1, w1), resolution).points()
+        omegas = np.array([s.imag for s in pts]).reshape(-1, resolution)
+        assert np.array_equal(omegas, -omegas[:, ::-1])
+        assert (omegas == omegas[0]).all()
+        # one ulp of the range's end, the size of linspace's own rounding
+        assert np.all(np.abs(omegas[0] - lin) <= np.spacing(w1))
+
+    def test_overflowing_width_rejected(self):
+        # the parent's grid here was [nan, inf, 1e308] with a RuntimeWarning
+        with pytest.raises(ValueError, match="^omega_range width must be a finite"):
+            FrequencyRegion("vertical_segment", 0.0, (-1e308, 1e308), 3)
+
+    @pytest.mark.parametrize("w", [(-1.0, 1.0), (-1.3, 1.2), (0.1, 1.0),
+                                   (-3.0, -1.0), (-1.0, 2.0)])
+    def test_asymmetric_or_mirrored_range_is_linspace(self, w):
+        pts = FrequencyRegion("vertical_segment", 0.0, w, 33).points()
+        assert np.array([s.imag for s in pts]).tobytes() == \
+            np.linspace(*w, 33).tobytes()
+
+
+def _conjugate_net(family, n, coupling, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.uniform
+
+    def node():
+        if family == "swing":
+            return swing(u(0.5, 2.0), u(0.5, 2.0))
+        return _turbine(u(0.5, 2.0), u(0.5, 2.0), u(0.5, 4.0), u(0.5, 4.0))
+
+    f = {"static": RF([u(0.5, 3.0)], [1]), "integrator": RF([u(0.5, 3.0)], [0, 1]),
+         "lag": RF([u(0.5, 3.0)], [1, u(0.5, 2.0)])}[coupling]
+    topology = ("ring", "complete", "path")[seed % 3]
+    return NetworkModel([node() for _ in range(n)], f,
+                        builder(topology, n, u(0.5, 2.0)))
+
+
+class TestConjugateReuse:
+    @given(st.sampled_from(["swing", "turbine"]), st.integers(2, 6),
+           st.sampled_from(["static", "integrator", "lag"]),
+           st.sampled_from(["vertical_segment", "rect_grid"]),
+           st.sampled_from([0.0, 0.3, -0.4]), st.sampled_from([1.0, 1.3, 0.7, 2.5]),
+           st.integers(2, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_lone_points(self, family, n, coupling, kind, sigma, w1,
+                                 resolution, seed):
+        net = _conjugate_net(family, n, coupling, seed)
+        region = FrequencyRegion(kind, sigma, (-w1, w1), resolution)
+        pts = region.points()
+        try:
+            lone = [(incoherence(net, s).measured, netfreq._norm2(eval_T(net, s)))
+                    for s in pts]
+        except NetcohError as exc:  # e.g. the integrator's pole at s = 0
+            with pytest.raises(NetcohError) as swept:
+                transfer_norm_sweep(net, region)
+            assert type(swept.value) is type(exc)
+            assert str(swept.value) == str(exc)
+            return
+        reports, t_norms = transfer_norm_sweep(net, region)
+        got = np.array([[r.measured for r in reports], t_norms]).T
+        assert [r.measured for r in sweep_region(net, region)[0]] == list(got[:, 0])
+        assert np.allclose(got, lone, rtol=1e-14, atol=0)
+        index = {s: k for k, s in enumerate(pts)}
+        for k, s in enumerate(pts):
+            assert got[index[s.conjugate()]].tolist() == got[k].tolist()
+
+    @pytest.mark.parametrize("omega_range", [(-1.0, 1.0), (-2.0, 2.0)])
+    def test_raises_at_the_first_point_of_a_pair(self, omega_range):
+        # f = 1/(s^2 + 1) has poles at -j and at its twin j
+        net = NetworkModel([swing(1, 1), swing(2, 1.5), swing(1.5, 0.8)],
+                           RF([1], [1, 0, 1]), builder("ring", 3))
+        region = FrequencyRegion("vertical_segment", 0.0, omega_range, 9)
+        assert -1j in region.points() and 1j in region.points()
+        message = "^s=-1j is a pole of the coupling dynamics$"
+        with pytest.raises(SingularAtSError, match=message):
+            incoherence(net, complex(0, -1))
+        with pytest.raises(SingularAtSError, match=message):
+            sweep_region(net, region)
+
+    def test_node_zero_fallback_on_both_twins(self, monkeypatch):
+        # g_0 = (s^2 + 1/4) / (s + 1)^2 vanishes at s = -0.5j and 0.5j
+        nodes = [RF([0.25, 0, 1], [1, 2, 1])] + [swing(1 + k % 3, 1 + k % 2)
+                                                  for k in range(4)]
+        net = NetworkModel(nodes, ONE, builder("ring", 5))
+        region = FrequencyRegion("vertical_segment", 0.0, (-1, 1), 17)
+        pts = region.points()
+        assert (pts[4], pts[12]) == (-0.5j, 0.5j)
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a: solves.append(1) or real(*a))
+        reports, t_norms = transfer_norm_sweep(net, region)
+        monkeypatch.undo()
+        assert len(solves) == 1  # the fallback, once for the pair
+        for k in (4, 12):
+            assert not np.isfinite(netfreq._node_inverses(*net._rows, [pts[k]])).all()
+            T = eval_T(net, pts[k])
+            want = [netfreq._norm2(T - net.gbar(pts[k]) / 5), netfreq._norm2(T)]
+            assert [reports[k].measured, t_norms[k]] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("region,classes", [
+        (FrequencyRegion("vertical_segment", 0.1, (-2, 2), 17), 9),
+        (FrequencyRegion("rect_grid", 0.2, (-1, 1), 5), 15),
+    ])
+    def test_one_solve_per_conjugate_class(self, monkeypatch, region, classes):
+        solved = []
+        real = netfreq._transfer
+        monkeypatch.setattr(netfreq, "_transfer",
+                            lambda *a: solved.append(a[1]) or real(*a))
+        net = NetworkModel([swing(1 + k % 3, 1 + k % 2) for k in range(50)], ONE,
+                           builder("ring", 50))
+        reports, t_norms = transfer_norm_sweep(net, region)
+        pts = region.points()
+        assert len(reports) == len(t_norms) == len(pts)
+        first = {}
+        for s in pts:
+            first.setdefault((s.real, abs(s.imag)), s)
+        assert solved == list(first.values()) and len(solved) == classes
