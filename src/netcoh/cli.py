@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import warnings
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__, ensemble, graph, netfreq, timedomain
@@ -146,22 +147,29 @@ def _build_ensemble(cfg: dict, seed: int) -> ensemble.EnsembleSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _no_cell(v):
+    raise TypeError(f"CSV cells are float, int, bool or None, not {type(v)!r}")
+
+
+_cell = {float: repr, int: repr, type(None): lambda v: "",  # exact types only
+         bool: lambda v: "true" if v else "false"}.get
+
+
+def _write_text(path: Path, chunks) -> None:
+    """Streams chunks to .<name>.tmp beside path, then moves it onto path."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w") as f:
+            f.writelines(chunks)
+        tmp.replace(path)
+    except BaseException:  # path stays as it was, and no temporary is left
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path, header: str, rows, provenance: list[str]) -> None:
-    lines = [f"# {p}" for p in provenance]
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    lines = (",".join([_cell(type(v), _no_cell)(v) for v in row]) + "\n" for row in rows)
+    _write_text(path, chain([f"# {p}\n" for p in provenance], [header + "\n"], lines))
 
 
 def _provenance(digest: str, seed: int) -> list[str]:
@@ -216,8 +224,7 @@ def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
         f"dt={dt}", f"input_family={sig.family}", f"input_alpha={sig.alpha}",
     ]
     header = "t," + ",".join(f"y_{i + 1}" for i in range(net.n)) + ",ybar,ycoi"
-    coi = ([None] * len(res.times) if res.coi_output is None
-           else res.coi_output.tolist())
+    coi = repeat(None) if res.coi_output is None else res.coi_output.tolist()
     rows = zip(res.times.tolist(), *res.node_outputs.tolist(),
                res.coherent_output.tolist(), coi)
     _write_csv(out_dir / "simulation.csv", header, rows, meta)
@@ -251,8 +258,7 @@ def cmd_concentrate(cfg, digest, seed, out_dir, config_dir):
             for n, devs in zip(result.sizes, result.deviations)
             for t, d in enumerate(devs)]
     _write_csv(out_dir / "concentration.csv", "n,trial,sup_deviation", rows, prov)
-    summary = [(n, med, p) for n, med, p in zip(
-        result.sizes, result.median_deviations, result.prob_estimates)]
+    summary = zip(result.sizes, result.median_deviations, result.prob_estimates)
     _write_csv(out_dir / "concentration_summary.csv",
                "n,median_dev,prob_ge_eps", summary, prov)
     return ["concentration.csv", "concentration_summary.csv"]
@@ -265,7 +271,7 @@ def cmd_aggregate(cfg, digest, seed, out_dir, config_dir):
     reports, t_norms = netfreq.transfer_norm_sweep(net, region)
     rows = [(r.s.real, r.s.imag, t, abs(net.n * aggr(r.s)), r.measured)
             for r, t in zip(reports, t_norms)]
-    (out_dir / "aggregate.txt").write_text(aggr.serialize() + "\n")
+    _write_text(out_dir / "aggregate.txt", [aggr.serialize() + "\n"])
     _write_csv(out_dir / "aggregate_compare.csv",
                "s_re,s_im,t_norm,coherent_gain,incoherence", rows,
                _provenance(digest, seed))

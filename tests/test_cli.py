@@ -1,10 +1,12 @@
 import json
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from netcoh import timedomain
+from netcoh import cli, timedomain
 from netcoh.cli import _build_net, main, run
 
 SWING_NET = {
@@ -535,22 +537,34 @@ class TestErrorsAndReproducibility:
             strip(out_b / "concentration.csv")
 
 
+REGION5 = {"kind": "vertical_segment", "sigma": 0.1, "omega_range": [-1, 1],
+           "resolution": 5}
+SIM = {"t_end": 1.0, "dt": 0.1}
+
+# Every command, with the CSV artifacts it writes; simulate with and without
+# inertias (an empty ycoi column).
+CSV_RUNS = [
+    ("analyze", {"net": SWING_NET, "region": REGION5,
+                 "sweep": {"alphas": [0.1, 100.0]}}, ["sweep.csv"]),
+    ("bound", {"net": SWING_NET, "region": REGION5}, ["bound.csv"]),
+    ("aggregate", {"net": SWING_NET, "region": REGION5},
+     ["aggregate_compare.csv"]),
+    ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE, "region": REGION5,
+                     "sweep": {"sizes": [4, 8], "trials": 3}},
+     ["concentration.csv", "concentration_summary.csv"]),
+    ("simulate", {"net": SWING_NET, "simulate": SIM}, ["simulation.csv"]),
+    ("simulate", {"net": SWING_NET,
+                  "simulate": dict(SIM, inertias=[1.0, 2.0, 1.2])},
+     ["simulation.csv"]),
+    ("freqdep", {"net": INTEGRATOR_NET, "simulate": {"t_end": 5.0, "dt": 0.1}},
+     ["freqdep.csv"]),
+]
+
+
 def test_csv_cells_are_numbers_booleans_or_empty(tmp_path):
-    region = {"kind": "vertical_segment", "sigma": 0.1, "omega_range": [-1, 1],
-              "resolution": 5}
-    runs = [
-        ("analyze", {"net": SWING_NET, "region": region,
-                     "sweep": {"alphas": [0.1, 100.0]}}, ["sweep.csv"]),
-        ("bound", {"net": SWING_NET, "region": region}, ["bound.csv"]),
-        ("aggregate", {"net": SWING_NET, "region": region},
-         ["aggregate_compare.csv"]),
-        ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE, "region": region,
-                         "sweep": {"sizes": [4, 8], "trials": 3}},
-         ["concentration.csv", "concentration_summary.csv"]),
-    ]
-    for command, cfg, names in runs:
-        out = tmp_path / command
-        assert run(command, write_cfg(tmp_path, cfg, f"{command}.json"),
+    for k, (command, cfg, names) in enumerate(CSV_RUNS):
+        out = tmp_path / f"{command}{k}"
+        assert run(command, write_cfg(tmp_path, cfg, f"{command}{k}.json"),
                    seed=4, out=str(out)) == 0
         for name in names:
             lines = [l for l in (out / name).read_text().splitlines()
@@ -560,3 +574,106 @@ def test_csv_cells_are_numbers_booleans_or_empty(tmp_path):
                 for cell in line.split(","):
                     if cell not in ("", "true", "false"):
                         float(cell)  # raises on np.float64(...) and the like
+
+
+def _fmt_before_cell_table(x) -> str:
+    """The cell formatter the exact-type table replaced, kept as an oracle."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
+
+
+def _write_csv_before_streaming(path, header, rows, provenance):
+    lines = [f"# {p}" for p in provenance]
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(_fmt_before_cell_table(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCsvWriter:
+    def test_cell_bytes(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        cli._write_csv(path, "a,b,c,d", [(None, True, False, 3), (0, -7, None, None)],
+                       ["tool=x", "seed=1"])
+        assert path.read_bytes() == (b"# tool=x\n# seed=1\na,b,c,d\n"
+                                     b",true,false,3\n0,-7,,\n")
+
+    def test_float_cells_are_reprs(self, tmp_path):
+        floats = [-0.0, 1e-05, 1e16, 1e15, 5e-324, 0.1 + 0.2,
+                  float("nan"), float("inf"), float("-inf")]
+        path = tmp_path / "floats.csv"
+        cli._write_csv(path, "x", [(x,) for x in floats], [])
+        lines = path.read_text().split("\n")
+        assert lines == ["x"] + [repr(x) for x in floats] + [""]
+        assert lines[1:-1] == ["-0.0", "1e-05", "1e+16", "1000000000000000.0",
+                               "5e-324", "0.30000000000000004", "nan", "inf",
+                               "-inf"]
+
+    @pytest.mark.parametrize("k", range(len(CSV_RUNS)))
+    def test_artifacts_match_the_formatter_before(self, tmp_path, monkeypatch, k):
+        command, cfg, names = CSV_RUNS[k]
+        path = write_cfg(tmp_path, cfg)
+        assert run(command, path, seed=4, out=str(tmp_path / "new")) == 0
+        monkeypatch.setattr(cli, "_write_csv", _write_csv_before_streaming)
+        assert run(command, path, seed=4, out=str(tmp_path / "old")) == 0
+        for name in names:
+            new = (tmp_path / "new" / name).read_bytes()
+            assert new == (tmp_path / "old" / name).read_bytes()
+            assert new.count(b"\n") > 4
+
+    @pytest.mark.parametrize("cell,kind", [
+        (np.float64(0.5), "numpy.float64"), (np.bool_(True), "numpy.bool"),
+        (np.int64(3), "numpy.int64"), ("0.5", "str")])
+    def test_other_cell_types_raise(self, tmp_path, cell, kind):
+        with pytest.raises(TypeError, match=kind):
+            cli._write_csv(tmp_path / "t.csv", "a,b", [(1.0, 2.0), (1.0, cell)],
+                           ["seed=1"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rows_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "simulation.csv"
+        path.write_text("old\n")
+
+        def rows():
+            for k in range(10):
+                yield (float(k), 1.0)
+            raise RuntimeError("row 10")
+
+        with pytest.raises(RuntimeError, match="row 10"):
+            cli._write_csv(path, "t,y", rows(), ["seed=1"])
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command,name", [("simulate", "simulation.csv"),
+                                              ("aggregate", "aggregate.txt")])
+    def test_artifact_path_is_a_directory_exit_5(self, tmp_path, capsys,
+                                                 command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = {"net": SWING_NET, "simulate": SIM, "region": REGION5}
+        assert run(command, write_cfg(tmp_path, cfg), out=str(out)) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: kind=io detail=")
+        assert [p.name for p in out.iterdir()] == [name]
+        assert list((out / name).iterdir()) == []
+
+    def test_rows_are_streamed(self, tmp_path):
+        # 25 000 rows of 7 floats are about 3 MiB of text; written row by
+        # row, the writer never holds more than a small buffer of it
+        rows = ((k / 7, *(math.sqrt(k + j) for j in range(6)))
+                for k in range(25000))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            cli._write_csv(path, "t,a,b,c,d,e,f", rows, ["seed=1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 3 * 2**20
+        assert peak < 2**20
