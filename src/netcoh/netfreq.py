@@ -229,7 +229,8 @@ def _guarded_inverse(M: np.ndarray, error, message: str) -> np.ndarray:
     T = None
     with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore"):
         T = np.linalg.inv(M)  # a non-finite T or norm fails the screen below
-        norms = [np.linalg.norm(X, p) for p in (1, np.inf) for X in (M, T)]
+        A = [np.abs(M), np.abs(T)]  # 1-norm: max column sum, inf-norm: max row sum
+        norms = [X.sum(axis).max() for axis in (0, 1) for X in A]
         if math.sqrt(math.prod(norms)) <= _COND_LIMIT / 2:  # the 2 absorbs rounding in T
             return T
     if np.linalg.cond(M) > _COND_LIMIT:

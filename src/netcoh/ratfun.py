@@ -3,8 +3,10 @@
 Polynomials and rational functions carry exact ``fractions.Fraction``
 coefficients, so canonical reduction (gcd cancellation, monic denominator)
 is exact: factors created by common-denominator arithmetic cancel without
-any tolerance, and equal functions compare equal bit-for-bit.  Evaluation,
-root finding and state-space realization convert to floats at the boundary.
+any tolerance, and equal functions compare equal bit-for-bit.  The gcd
+decides coprimality mod 2**61 - 1 first (Brown 1971) and runs Euclid only
+when that cannot decide, so reduced forms are Euclid's.  Evaluation, root
+finding and state-space realization convert to floats at the boundary.
 """
 
 from __future__ import annotations
@@ -129,7 +131,44 @@ class Polynomial:
         return f"Polynomial({self.coeffs_float()})"
 
 
+_PRIME = 2**61 - 1
+
+
+def _mod_prime(poly: Polynomial) -> list[int]:
+    """poly times the lcm of its coefficient denominators, reduced mod _PRIME."""
+    scale = math.lcm(*(c.denominator for c in poly.coeffs))
+    return [c.numerator * (scale // c.denominator) % _PRIME for c in poly.coeffs]
+
+
+def _coprime_mod_prime(a: Polynomial, b: Polynomial) -> bool:
+    """True only if a and b are coprime over Q: when the prime divides
+    neither integer leading coefficient, a common factor keeps its degree
+    mod the prime, so a constant gcd over GF(p) rules one out."""
+    a, b = _mod_prime(a), _mod_prime(b)
+    if not (a[-1] and b[-1]):
+        return False
+    while b:  # Euclid over GF(p); zeros are stripped, so b[-1] != 0
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            q, k = a[-1] * inv % _PRIME, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[k + i] = (a[k + i] - q * c) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Exact monic gcd.  Coprimality of two non-constant polynomials is
+    decided mod the prime 2**61 - 1 first (Brown 1971); Euclid runs only
+    when that test cannot decide, and gives the same result."""
+    if a.degree >= 1 and b.degree >= 1 and _coprime_mod_prime(a, b):
+        return Polynomial([1])
+    return _euclid_gcd(a, b)
+
+
+def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact monic gcd via the Euclidean algorithm."""
     while not b.is_zero:
         _, r = divmod(a, b)

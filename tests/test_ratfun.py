@@ -1,6 +1,8 @@
 import cmath
 import math
+import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,28 +175,99 @@ class TestHarmonicMean:
             harmonic_mean([])
 
     def test_one_gcd_for_turbine_nodes(self, monkeypatch):
-        # 12 turbine nodes 1/(m s + d + r/(tau s + 1)) over 8 distinct tau
-        gs = [rf([1, tau], [d + r, m + d * tau, m * tau])
-              for m, d, r, tau in ((2 + k % 3, 1 + k % 2, 3, 1 + k % 8)
-                                   for k in range(12))]
-        calls = []
-        real = ratfun.poly_gcd
+        # 12 turbine nodes 1/(m s + d + r/(tau s + 1)) over 8 distinct tau,
+        # integer ones and float ones drawn as in the freq-domain benchmark:
+        # one gcd, decided mod the prime without Euclid
+        gcds, euclids = _count_calls(monkeypatch, "poly_gcd", "_euclid_gcd")
+        for gs in ([_turbine(2 + k % 3, 1 + k % 2, 3, 1 + k % 8) for k in range(12)],
+                   _drawn_turbines(12, 8)):
+            gcds.clear()
+            harmonic_mean(gs)
+            assert (len(gcds), len(euclids)) == (1, 0)
 
-        def counting(a, b):
-            calls.append(1)
-            return real(a, b)
+    def test_twenty_distinct_turbines(self, monkeypatch):
+        # Euclid over the Fraction coefficients takes about 40 s here on a
+        # 2-CPU machine
+        gs = _drawn_turbines(20, 20)
+        (euclids,) = _count_calls(monkeypatch, "_euclid_gcd")
+        start = time.perf_counter()
+        got = harmonic_mean(gs)
+        assert time.perf_counter() - start < 1.0
+        assert euclids == []
+        want = _euclid_route(*_unreduced_harmonic_mean(gs))
+        assert got == want
+        assert got.serialize() == want.serialize()
 
-        monkeypatch.setattr(ratfun, "poly_gcd", counting)
-        harmonic_mean(gs)
-        assert len(calls) == 1
+
+def _turbine(m, d, r, tau):
+    return rf([1, tau], [d + r, m + d * tau, m * tau])
+
+
+def _drawn_turbines(n, n_tau, seed=0):
+    """n turbine nodes over n_tau distinct tau, float parameters drawn from
+    the ranges of the freq-domain benchmark's aggregate."""
+    rng = np.random.default_rng(seed)
+    taus = rng.uniform(0.5, 8.0, n_tau)
+    return [_turbine(*map(float, p), taus[k % n_tau]) for k, p in enumerate(zip(
+        rng.uniform(1, 3, n), rng.uniform(0.5, 1.5, n), rng.uniform(2, 6, n)))]
+
+
+def _unreduced_harmonic_mean(gs):
+    """n / sum(den_i / num_i) as (numerator, denominator), not reduced."""
+    num, den = Polynomial([]), Polynomial([1])
+    for g in gs:
+        num, den = num * g.num + g.den * den, den * g.num
+    return den.scale(len(gs)).coeffs, num.coeffs
+
+
+def _count_calls(monkeypatch, *names):
+    """Replace each named ratfun function by one that records its calls."""
+    def counting(real, log):
+        def wrapper(*args):
+            log.append(args)
+            return real(*args)
+        return wrapper
+
+    logs = [[] for _ in names]
+    for name, log in zip(names, logs):
+        monkeypatch.setattr(ratfun, name, counting(getattr(ratfun, name), log))
+    return logs
+
+
+def _integers(p):
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * scale) for c in p.coeffs]
+
+
+def _primitive(cs):
+    g = math.gcd(*cs)  # 0 only for the zero polynomial
+    return [c // g for c in cs] if g else cs
+
+
+def _plain_gcd(a, b):
+    """Monic gcd by Euclid's loop with no modular shortcut.  It runs over
+    the integers: denominators are cleared, and each pseudo-remainder is
+    divided by its content, so coefficients stay small."""
+    a, b = _primitive(_integers(a)), _primitive(_integers(b))
+    while b:
+        while len(a) >= len(b):
+            k, lead = len(a) - len(b), a[-1]
+            a = [x * b[-1] for x in a]
+            for i, c in enumerate(b):
+                a[k + i] -= lead * c
+            while a and not a[-1]:
+                a.pop()
+            a = _primitive(a)
+        a, b = b, a
+    return Polynomial(a).monic()
 
 
 def _euclid_route(num, den):
-    """num/den reduced by Euclid whatever the degrees, then den made monic,
-    built without the constructor."""
+    """num/den reduced by a plain Euclid whatever the degrees, then den made
+    monic, built without the constructor."""
     num, den = Polynomial(num), Polynomial(den)
     if not num.is_zero:
-        g = poly_gcd(num, den)
+        g = _plain_gcd(num, den)
         num, den = divmod(num, g)[0], divmod(den, g)[0]
     out = object.__new__(RationalFunction)
     object.__setattr__(out, "num", num.scale(1 / den.coeffs[-1]))
@@ -203,6 +276,59 @@ def _euclid_route(num, den):
 
 
 COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+
+TAUS = st.one_of(st.fractions(Fraction(1, 2), 8, max_denominator=9),
+                 st.floats(0.5, 8.0))
+FACTORS = st.one_of(
+    st.builds(lambda tau: Polynomial([1, tau]), TAUS),  # turbine numerator
+    st.builds(lambda c: Polynomial([c, 1]), st.integers(-7, 7)),  # s + c
+    st.builds(lambda m, d, r, tau: _turbine(m, d, r, tau).den,  # turbine den
+              st.integers(1, 3), st.integers(1, 2), st.integers(2, 6), TAUS),
+    COEFFS.filter(any).map(Polynomial),
+)
+
+
+def _product(ps):
+    out = Polynomial([1])
+    for p in ps:
+        out = out * p
+    return out
+
+
+class TestModularGcd:
+    """poly_gcd decides coprimality mod a prime before Euclid; it must
+    return what a plain Euclid loop returns, also for a prime that is
+    unlucky for the input."""
+
+    @given(st.lists(FACTORS, max_size=3), st.lists(FACTORS, max_size=3),
+           st.lists(FACTORS, max_size=3), st.sampled_from([2**61 - 1, 7, 2]))
+    @example([Polynomial([1, 2])], [Polynomial([3, 1])], [Polynomial([5, 2])],
+             2**61 - 1)  # shared tau
+    @example([], [Polynomial([7, 1])], [Polynomial([0, 1])], 7)  # unlucky
+    @example([Polynomial([1, 7])], [Polynomial([2, 1])], [Polynomial([3, 1])],
+             7)  # 7 s + 1 vanishes mod 7 but divides both
+    @example([Polynomial([1, 1])] * 2, [Polynomial([1, 1])], [], 2**61 - 1)
+    @example([_turbine(2, 1, 3, 2.5).den], [_turbine(2, 1, 3, 2.5).den],
+             [_turbine(2, 1, 3, 2.5).num], 2**61 - 1)  # a repeated node
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_euclid(self, common, left, right, prime):
+        # common: a factor of both; left and right: the cofactors
+        a = _product(common + left)
+        b = _product(common + right)
+        with mock.patch.object(ratfun, "_PRIME", prime):
+            assert poly_gcd(a, b) == _plain_gcd(a, b)
+            assert poly_gcd(b, a) == _plain_gcd(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([7, 1], [0, 1]),  # s + 7 and s are both s mod 7
+        ([1, 7], [1, 1]),  # 7 s + 1: 7 divides the leading coefficient
+    ], ids=["gcd-mod-p-not-1", "leading-coefficient"])
+    def test_unlucky_prime_falls_back_to_euclid(self, monkeypatch, a, b):
+        monkeypatch.setattr(ratfun, "_PRIME", 7)
+        (euclids,) = _count_calls(monkeypatch, "_euclid_gcd")
+        assert poly_gcd(Polynomial(a), Polynomial(b)) == Polynomial([1])
+        assert len(euclids) == 1
+        assert rf(a, b).serialize() == f"num={a}, den={b}"
 
 
 class TestCanonicalShortcuts:
