@@ -36,12 +36,17 @@ class DisconnectedWarning(UserWarning):
     """The zero eigenvalue has multiplicity > 1: the graph is disconnected."""
 
 
+def _zero_multiplicity(evals: np.ndarray) -> int:
+    """Eigenvalues within ZERO_CLUSTER_REL lambda_max (or 1e-14) of 0, at least 1."""
+    lam_max = max(float(evals[-1]), 0.0)
+    cutoff = ZERO_CLUSTER_REL * lam_max if lam_max > 0 else 1e-14
+    return max(int(np.sum(np.abs(evals) <= cutoff)), 1)
+
+
 def _spectrum(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = entries.shape[0]
     evals, evecs = np.linalg.eigh(entries)
-    lam_max = max(evals[-1], 0.0)
-    cutoff = ZERO_CLUSTER_REL * lam_max if lam_max > 0 else 1e-14
-    zero_mult = int(np.sum(np.abs(evals) <= cutoff)) or 1
+    zero_mult = _zero_multiplicity(evals)
     evals = evals.copy()
     evals[0] = 0.0
 
@@ -108,9 +113,7 @@ class LaplacianMatrix:
 
     @property
     def zero_multiplicity(self) -> int:
-        lam_max = max(float(self.eigenvalues[-1]), 0.0)
-        cutoff = ZERO_CLUSTER_REL * lam_max if lam_max > 0 else 1e-14
-        return max(int(np.sum(np.abs(self.eigenvalues) <= cutoff)), 1)
+        return _zero_multiplicity(self.eigenvalues)
 
     @property
     def v_perp(self) -> np.ndarray:

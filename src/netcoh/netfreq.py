@@ -30,7 +30,8 @@ from .errors import (
     require_number,
 )
 from .graph import LaplacianMatrix
-from .ratfun import INFINITY, RationalFunction, harmonic_mean
+from .ratfun import (INFINITY, RationalFunction, StateSpaceModel, harmonic_mean,
+                     harmonic_realization)
 
 __all__ = [
     "NetworkModel",
@@ -79,29 +80,35 @@ class NetworkModel:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "laplacian", laplacian)
-        # exact gbar and float rows: filled on first use and shared with
-        # every copy over the same nodes
+        # exact gbar, float realization of gbar/n and float rows: each built
+        # on first use and shared with every copy over the same nodes
         object.__setattr__(self, "_shared", {})
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
+    def _cached(self, key: str, build):
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]
+
     @property
     def gbar(self) -> RationalFunction:
         """Harmonic mean of the nodes, computed exactly at most once."""
-        if "gbar" not in self._shared:
-            self._shared["gbar"] = harmonic_mean(self.nodes)
-        return self._shared["gbar"]
+        return self._cached("gbar", lambda: harmonic_mean(self.nodes))
+
+    @property
+    def gbar_model(self) -> StateSpaceModel:
+        """Float realization of gbar/n = (sum g_i^{-1})^{-1}, built at most once."""
+        return self._cached("gbar_model", lambda: harmonic_realization(self.nodes))
 
     @property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Node numerators and denominators as zero-padded rows of ascending
         float coefficients, shapes (n, p) and (n, q)."""
-        if "rows" not in self._shared:
-            self._shared["rows"] = (_pad([g.num for g in self.nodes]),
-                                    _pad([g.den for g in self.nodes]))
-        return self._shared["rows"]
+        return self._cached("rows", lambda: (_pad([g.num for g in self.nodes]),
+                                             _pad([g.den for g in self.nodes])))
 
     def with_laplacian(self, laplacian: LaplacianMatrix) -> "NetworkModel":
         net = NetworkModel(self.nodes, self.coupling, laplacian)
@@ -211,14 +218,17 @@ def _inverse_sum(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
 
 
 def _gbar_values(net: NetworkModel, pts, ginv: np.ndarray) -> np.ndarray:
-    """gbar(s_k) = n / sum_i g_i^{-1}(s_k) from the float inverses; the exact
-    gbar where that sum is not finite (a node zero) or is 0."""
+    """gbar(s_k) = n / sum_i g_i^{-1}(s_k) in floats; where that sum is not finite
+    (a node zero) or 0, n times net.gbar_model's response, infinite at its poles."""
     total = ginv.sum(axis=1)
-    exact = ~np.isfinite(total) | (total == 0)
+    fallback = ~np.isfinite(total) | (total == 0)
     gbar = np.divide(net.n, total, out=np.zeros(total.shape, complex),
-                     where=~exact)
-    for k in np.flatnonzero(exact):
-        gbar[k] = net.gbar(pts[k])
+                     where=~fallback)
+    for k in np.flatnonzero(fallback):
+        try:
+            gbar[k] = net.n * net.gbar_model.response(pts[k])[0, 0]
+        except np.linalg.LinAlgError:  # s_k I - A is singular
+            gbar[k] = INFINITY
     return gbar
 
 
@@ -359,11 +369,10 @@ def estimate_majorants(net: NetworkModel,
                        region: FrequencyRegion) -> tuple[float, float]:
     """Grid suprema of |gbar| and max_i |g_i^{-1}|, inflated by 1.05.
 
-    The region must avoid poles of gbar and zeros of every g_i; a violating
-    root is reported via RegionContainsSingularityError.
+    The region must avoid the poles of gbar (the eigenvalues of net.gbar_model)
+    and the zeros of every g_i: RegionContainsSingularityError names the root.
     """
-    gbar = net.gbar
-    for p in gbar.poles():
+    for p in np.linalg.eigvals(net.gbar_model.A).tolist():
         if region.contains(p):
             raise RegionContainsSingularityError(
                 f"region contains pole {p} of the coherent dynamics", root=p

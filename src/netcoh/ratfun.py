@@ -31,6 +31,7 @@ __all__ = [
     "StateSpaceModel",
     "PassivityCertificate",
     "harmonic_mean",
+    "harmonic_realization",
 ]
 
 
@@ -305,30 +306,14 @@ class RationalFunction:
         """Controllable-canonical realization of a proper function."""
         if not self.is_proper:
             raise ImproperError(f"{self} is improper")
-        den = self.den  # already monic
-        k = int(den.degree)
-        if k == 0:
-            d = float(self.num.coeffs[0]) if self.num.coeffs else 0.0
-            z = np.zeros((0, 0))
-            return StateSpaceModel(z, np.zeros((0, 1)), np.zeros((1, 0)),
-                                   np.array([[d]]))
-        if self.num.degree == den.degree:
-            d_frac = self.num.coeffs[-1]
-            rem = self.num - den.scale(d_frac)
-        else:
-            d_frac = Fraction(0)
-            rem = self.num
-        a_coeffs = den.coeffs_float()[:-1]
-        A = np.zeros((k, k))
-        A[:-1, 1:] = np.eye(k - 1)
-        A[-1, :] = [-c for c in a_coeffs]
+        d, rem = divmod(self.num, self.den)  # den is monic: d is the feedthrough
+        k = int(self.den.degree)
+        A = np.eye(k, k=1)
+        A[-1:] = [-c for c in self.den.coeffs_float()[:-1]]
         B = np.zeros((k, 1))
-        B[-1, 0] = 1.0
-        C = np.zeros((1, k))
-        for i, c in enumerate(rem.coeffs):
-            C[0, i] = float(c)
-        D = np.array([[float(d_frac)]])
-        return StateSpaceModel(A, B, C, D)
+        B[-1:] = 1.0
+        C = [rem.coeffs_float() + [0.0] * (k - len(rem.coeffs))]
+        return StateSpaceModel(A, B, C, [d.coeffs_float() or [0.0]])
 
     # --- serialization ---
 
@@ -370,13 +355,8 @@ class RationalFunction:
         return f"RationalFunction({self.serialize()})"
 
 
-def harmonic_mean(gs: Sequence[RationalFunction]) -> RationalFunction:
-    """Harmonic mean ((1/n) sum g_i^{-1})^{-1} via exact arithmetic.
-
-    Inverses den_i/num_i are grouped by monic numerator and summed over
-    one common denominator, so the result is reduced once; for n identical
-    inputs this returns the common g exactly.
-    """
+def _inverse_groups(gs: Sequence[RationalFunction]) -> dict[Polynomial, Polynomial]:
+    """sum_i g_i^{-1} as {monic q: p}, p/q the sum of the den_i/num_i with q | num_i."""
     if not gs:
         raise ValueError("harmonic_mean of an empty list")
     groups: dict[Polynomial, Polynomial] = {}
@@ -385,12 +365,68 @@ def harmonic_mean(gs: Sequence[RationalFunction]) -> RationalFunction:
             raise ZeroFunctionError("harmonic mean of a zero node")
         q = g.num.monic()
         groups[q] = groups.get(q, Polynomial([])) + g.den.scale(1 / g.num.coeffs[-1])
+    return groups
+
+
+def harmonic_mean(gs: Sequence[RationalFunction]) -> RationalFunction:
+    """Harmonic mean ((1/n) sum g_i^{-1})^{-1} via exact arithmetic.
+
+    Inverses den_i/num_i are grouped by monic numerator and summed over
+    one common denominator, so the result is reduced once; for n identical
+    inputs this returns the common g exactly.
+    """
     num, den = Polynomial([]), Polynomial([1])
-    for q, p in groups.items():
+    for q, p in _inverse_groups(gs).items():
         num, den = num * q + p * den, den * q
     if num.is_zero:
         raise ZeroFunctionError("the node inverses sum to zero")
     return RationalFunction(den.scale(len(gs)), num)
+
+
+def _share_a_root(a: Polynomial, b: Polynomial) -> bool:
+    """For monic a and b; two monic lines share a root only when equal."""
+    return a == b if a.degree == b.degree == 1 else poly_gcd(a, b).degree >= 1
+
+
+def harmonic_realization(gs: Sequence[RationalFunction]) -> StateSpaceModel:
+    """Minimal float realization of (sum g_i^{-1})^{-1} = harmonic_mean(gs)/n.
+
+    Each p/q of _inverse_groups splits exactly into a polynomial and a reduced
+    strictly proper part; parts whose denominators share a root are summed,
+    so they form a bank R of coprime blocks.  With P the sum of the
+    polynomials, 1/(P + R) is 1/P in negative feedback around R: for turbine
+    nodes, 1/(M s + D) around the lags r_i/(tau_i s + 1)."""
+    P, bank = Polynomial([]), []
+    for q, p in _inverse_groups(gs).items():
+        quot, rem = divmod(p, q)
+        P, block = P + quot, RationalFunction(rem, q)
+        for other in [o for o in bank if _share_a_root(o.den, block.den)]:
+            bank.remove(other)
+            block = block + other
+        if not block.is_zero:
+            bank.append(block)
+    if P.is_zero:  # sum g_i^{-1} is strictly proper, or 0
+        raise (ImproperError("the harmonic mean is improper") if bank
+               else ZeroFunctionError("the node inverses sum to zero"))
+    models = [RationalFunction([1], P).to_state_space()] + [b.to_state_space() for b in bank]
+    A, b, c = (_block_diag([getattr(m, k) for m in models]) for k in "ABC")
+    # column 0 of b and row 0 of c are 1/P's, with feedthrough d; the bank
+    # has none, and its columns and rows sum to its input b_r and output c_r
+    b_f, b_r = b[:, :1], b[:, 1:].sum(axis=1, keepdims=True)
+    c_f, c_r = c[:1], c[1:].sum(axis=0, keepdims=True)
+    d = models[0].D
+    C = c_f - d * c_r
+    return StateSpaceModel(A + b_r @ C - b_f @ c_r, b_f + d * b_r, C, d)
+
+
+def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of mats, which may have zero rows or columns."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,8 @@ from .errors import (
     NotIntegratorCouplingError,
     UnstableModelError,
 )
-from .netfreq import FrequencyRegion, NetworkModel, _guarded_inverse, coherent_dynamics
-from .ratfun import RationalFunction, StateSpaceModel
+from .netfreq import FrequencyRegion, NetworkModel, _guarded_inverse
+from .ratfun import RationalFunction, StateSpaceModel, _block_diag
 
 __all__ = [
     "InputSignal",
@@ -106,18 +106,6 @@ class StabilityCertificate:
     gamma_hinf: float | None = None
 
 
-def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
 def assemble_closed_loop(net: NetworkModel) -> StateSpaceModel:
     """Composite realization of u -> y for y = G(u - f L y)."""
     L = net.laplacian.entries
@@ -125,15 +113,10 @@ def assemble_closed_loop(net: NetworkModel) -> StateSpaceModel:
     node_ss = [g.to_state_space() for g in net.nodes]
     f_ss = net.coupling.to_state_space()
 
-    Ag = _block_diag([m.A for m in node_ss])
-    Bg = _block_diag([m.B for m in node_ss])
-    Cg = _block_diag([m.C for m in node_ss])
+    Ag, Bg, Cg = (_block_diag([getattr(m, k) for m in node_ss]) for k in "ABC")
     Dg = np.diag([m.D[0, 0] for m in node_ss])
 
-    kf = f_ss.order
-    Af = _block_diag([f_ss.A] * n) if kf else np.zeros((0, 0))
-    Bf = _block_diag([f_ss.B] * n) if kf else np.zeros((0, n))
-    Cf = _block_diag([f_ss.C] * n) if kf else np.zeros((n, 0))
+    Af, Bf, Cf = (_block_diag([getattr(f_ss, k)] * n) for k in "ABC")
     Df = f_ss.D[0, 0] * np.eye(n)
 
     W = _guarded_inverse(np.eye(n) + Dg @ Df @ L, AlgebraicLoopSingularError,
@@ -159,13 +142,12 @@ def assemble_closed_loop(net: NetworkModel) -> StateSpaceModel:
 
 
 def coherence_realization(net: NetworkModel) -> StateSpaceModel:
-    """One realization of u -> [y; ybar]: the closed loop stacked with gbar
-    driven by the mean input (1^T u)/n, so output n + 1 is the coherent
-    reference."""
-    loop, ref = assemble_closed_loop(net), coherent_dynamics(net).to_state_space()
-    mean = np.full((1, net.n), 1.0 / net.n)
-    return StateSpaceModel(_block_diag([loop.A, ref.A]), np.vstack([loop.B, ref.B @ mean]),
-                           _block_diag([loop.C, ref.C]), np.vstack([loop.D, ref.D @ mean]))
+    """One realization of u -> [y; ybar]: the closed loop stacked with
+    net.gbar_model, the float realization of gbar/n, driven by 1^T u, so
+    output n + 1 is the coherent reference gbar (1^T u)/n."""
+    loop, ref, ones = assemble_closed_loop(net), net.gbar_model, np.ones((1, net.n))
+    return StateSpaceModel(_block_diag([loop.A, ref.A]), np.vstack([loop.B, ref.B @ ones]),
+                           _block_diag([loop.C, ref.C]), np.vstack([loop.D, ref.D @ ones]))
 
 
 # [13/13] Pade coefficients and the 1-norm up to which that approximant is

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from netcoh import cli, timedomain
+from netcoh import cli, ensemble, netfreq, ratfun, timedomain
 from netcoh.cli import _build_net, main, run
 
 SWING_NET = {
@@ -76,14 +76,14 @@ class TestAnalyze:
         path = write_cfg(tmp_path, cfg)
         assert run("analyze", path, out=str(tmp_path)) == 3
 
-    def test_alpha_sweep_one_exact_sum(self, tmp_path, exact_sums):
+    def test_alpha_sweep_no_exact_sum(self, tmp_path, exact_sums):
         cfg = {
             "net": SWING_NET,
             "region": {"resolution": 3},
             "sweep": {"alphas": [10.0, 100.0, 1000.0, 10000.0]},
         }
         assert run("analyze", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
-        assert len(exact_sums) == 1
+        assert len(exact_sums) == 0
 
 
 class TestBound:
@@ -259,6 +259,76 @@ class TestConcentrate:
         assert caught == []
         assert capsys.readouterr().err.startswith("error: kind=config detail=need trials")
         assert not list(tmp_path.glob("*.csv"))
+
+
+def _swing_ring(rng, n, weight):
+    return {"nodes": [{"num": [1.0], "den": [float(d), float(m)]}
+                      for m, d in zip(rng.uniform(1, 3, n), rng.uniform(0.5, 1.5, n))],
+            "coupling": {"num": [1.0], "den": [1.0]},
+            "laplacian": {"builder": {"kind": "ring", "n": n, "weight": weight}}}
+
+
+def _turbine_ring(rng, n, weight):
+    # 1/(m s + d + r/(tau s + 1)) over distinct tau
+    m, d, r, tau = (rng.uniform(lo, hi, n) for lo, hi in [(1, 3), (0.5, 1.5), (2, 6),
+                                                         (0.5, 8)])
+    return dict(_swing_ring(rng, n, weight), nodes=[
+        {"num": [1.0, t], "den": [di + ri, mi + di * t, mi * t]}
+        for mi, di, ri, t in zip(*(v.tolist() for v in (m, d, r, tau)))])
+
+
+def _float_gbar_runs() -> dict:
+    """Named (command, config) pairs shaped like the benchmark's workloads,
+    at a smaller size, plus turbine bound and simulate runs."""
+    rng = np.random.default_rng(17)
+    seg = {"kind": "vertical_segment", "sigma": 0.0, "omega_range": [-1, 1],
+           "resolution": 17}
+    rect = {"kind": "rect_grid", "sigma": 0.2, "omega_range": [-1, 1], "resolution": 5}
+    step = {"family": "step", "shape": [0.5, -1.0, 0.25, 0.0]}
+    sim = {"t_end": 5.0, "dt": 2e-3, "inertias": [1.0, 2.0, 1.5, 3.0]}
+    return {
+        "analyze": ("analyze", {"net": _swing_ring(rng, 20, 1.0), "region": seg,
+                                "sweep": {"alphas": [1.0, 10.0, 100.0, 1000.0]}}),
+        "bound": ("bound", {"net": _swing_ring(rng, 20, 500.0), "region": rect}),
+        "simulate": ("simulate", {"net": _swing_ring(rng, 4, 1.0), "input": step,
+                                  "simulate": sim}),
+        "freqdep": ("freqdep", {"net": dict(_swing_ring(rng, 4, 1.0), coupling={
+            "num": [1.0], "den": [0.0, 1.0]}), "sweep": {"alphas": [0.05, 0.4]},
+            "simulate": {"t_end": 10.0, "dt": 1e-2}}),
+        "concentrate": ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE, "region": seg,
+                                        "sweep": {"sizes": [10, 40], "trials": 3}}),
+        "turbine-bound": ("bound", {"net": _turbine_ring(rng, 12, 50.0), "region": rect}),
+        "turbine-simulate": ("simulate", {"net": _turbine_ring(rng, 4, 1.0), "input": step,
+                                          "simulate": sim}),
+    }
+
+
+FLOAT_GBAR_RUNS = _float_gbar_runs()
+
+
+class TestFloatGbar:
+    """Every numeric command takes gbar from its float realization; only
+    aggregate builds the exact harmonic mean."""
+
+    @pytest.mark.parametrize("case", sorted(FLOAT_GBAR_RUNS))
+    def test_runs_without_the_exact_harmonic_mean(self, tmp_path, monkeypatch, case):
+        def refuse(gs):
+            raise AssertionError("a numeric path built the exact harmonic mean")
+
+        for module in (ratfun, netfreq, ensemble):
+            monkeypatch.setattr(module, "harmonic_mean", refuse)
+        command, cfg = FLOAT_GBAR_RUNS[case]
+        assert run(command, write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+
+    def test_improper_gbar(self, tmp_path, capsys):
+        # inverses s and -s + 1/(s + 2) sum to 1/(s + 2): gbar = 2(s + 2)
+        net = dict(SWING_NET, nodes=[{"num": [1], "den": [0, 1]},
+                                     {"num": [2, 1], "den": [1, -2, -1]}],
+                   laplacian={"builder": {"kind": "path", "n": 2}})
+        path = write_cfg(tmp_path, {"net": net})
+        assert run("bound", path, out=str(tmp_path / "bound")) == 3
+        assert capsys.readouterr().err.startswith("error: kind=Improper detail=")
+        assert run("analyze", path, out=str(tmp_path)) == 0
 
 
 class TestAggregate:

@@ -416,6 +416,103 @@ class TestStateSpace:
             rf([1, 1, 1], [1, 1]).to_state_space()
 
 
+def _lines(*roots):
+    """The monic polynomial with the given roots."""
+    return _product([Polynomial([-r, 1]) for r in roots])
+
+
+# numerators (s+1)(s+2) and (s+1)(s+3) share the root -1: realized as two
+# blocks, the bank would keep an uncontrollable mode there
+SHARED_ROOT_PAIR = [rf(_lines(-1, -2), _lines(-3, -4, -5)),
+                    rf(_lines(-1, -3), _lines(-2, -5, -6))]
+
+
+def _mixed_nodes(n, seed):
+    """A swing node, a node with a second-order numerator, and n - 2
+    turbine nodes over distinct tau."""
+    return ([rf([1.5, 2.0], [1]).reciprocal(), rf(_lines(-1, -2), _lines(-3, -4, -5))]
+            + _drawn_turbines(n - 2, n - 2, seed))
+
+
+def _max_match_error(got, want):
+    """Largest distance, relative to max(1, |w|), from each w in want to the
+    nearest unmatched value of got; got and want have equal lengths."""
+    got, worst = list(got), 0.0
+    assert len(got) == len(want)
+    for w in want:
+        k = int(np.argmin(np.abs(np.array(got) - w)))
+        worst = max(worst, abs(got.pop(k) - w) / max(1.0, abs(w)))
+    return worst
+
+
+def _relative_newton_steps(gs, lams):
+    """|h(lam) / h'(lam)| / |lam| at each lam, h = sum_i den_i/num_i in floats."""
+    h = dh = 0j
+    for g in gs:
+        num, den = (np.polynomial.Polynomial(p.coeffs_float()) for p in (g.num, g.den))
+        nv, dv = num(lams), den(lams)
+        h = h + dv / nv
+        dh = dh + (den.deriv()(lams) * nv - dv * num.deriv()(lams)) / nv ** 2
+    return np.abs(h / dh) / np.abs(lams)
+
+
+class TestHarmonicRealization:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_poles_match_exact_route(self, n):
+        gs = _mixed_nodes(n, seed=n)
+        model = ratfun.harmonic_realization(gs)
+        want = harmonic_mean(gs)
+        assert model.order == want.den.degree
+        assert _max_match_error(np.linalg.eigvals(model.A), want.poles()) <= 1e-9
+        rng = np.random.default_rng(n)
+        for s in rng.uniform(-1, 1, 5) + 1j * rng.uniform(-3, 3, 5):
+            assert model.response(s)[0, 0] == pytest.approx(want(s) / n, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [14, 64, 200])
+    def test_turbine_poles_are_zeros_of_the_inverse_sum(self, n):
+        gs = _drawn_turbines(n, n)
+        start = time.perf_counter()
+        eigs = np.linalg.eigvals(ratfun.harmonic_realization(gs).A)
+        assert time.perf_counter() - start < 1.0
+        assert len(eigs) == n + 1
+        assert _relative_newton_steps(gs, eigs).max() <= 1e-12
+
+    def test_numerators_sharing_a_root_are_merged(self):
+        model = ratfun.harmonic_realization(SHARED_ROOT_PAIR)
+        want = harmonic_mean(SHARED_ROOT_PAIR)
+        eigs = np.linalg.eigvals(model.A)
+        assert _max_match_error(eigs, want.poles()) <= 1e-9
+        assert np.abs(eigs + 1).min() > 0.1  # -1 is a zero of gbar, not a pole
+        assert abs(model.response(-1.0)[0, 0]) < 1e-15
+
+    def test_swing_nodes_need_one_state(self):
+        model = ratfun.harmonic_realization([rf([1], [1, 2]), rf([1], [3, 4])])
+        assert model.A.tolist() == [[-4 / 6]]
+        assert model.response(0.5)[0, 0] == pytest.approx(1 / (6 * 0.5 + 4))
+
+    def test_constant_polynomial_part_is_feedthrough(self):
+        # inverses 2 + 1/(s + 1) and 1: 1/h = (s + 1)/(3 s + 4)
+        model = ratfun.harmonic_realization([rf([1, 1], [3, 2]), rf([1], [1])])
+        assert (model.order, model.D.tolist()) == (1, [[1 / 3]])
+        assert model.response(2j)[0, 0] == pytest.approx((2j + 1) / (6j + 4))
+
+    def test_improper_rejected(self):
+        # inverses s and -s + 1/(s + 2): gbar = 2(s + 2)
+        gs = [rf([1], [0, 1]), rf([2, 1], [1, -2, -1])]
+        assert harmonic_mean(gs) == rf([4, 2], [1])
+        with pytest.raises(ImproperError):
+            ratfun.harmonic_realization(gs)
+
+    @pytest.mark.parametrize("gs", [
+        [rf([1], [1, 1]), rf([-1], [1, 1])],
+        [rf([1, 1], [2, 1]), rf([-1, -1], [2, 1])],
+        [rf([1], [1, 1]), rf([0], [1])],
+    ], ids=["inverses-cancel", "remainders-cancel", "zero-node"])
+    def test_zero_rejected(self, gs):
+        with pytest.raises(ZeroFunctionError):
+            ratfun.harmonic_realization(gs)
+
+
 class TestPassivity:
     def test_first_order_lag_is_osp(self):
         cert = passivity_check(rf([1], [1, 1]), "osp")
