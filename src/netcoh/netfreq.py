@@ -53,7 +53,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 MAJORANT_SAFETY = 1.05
-_CHUNK_ELEMS = 1 << 20  # bounds the (nodes x points) work arrays of _inverse_sum
+_CHUNK_ELEMS = 1 << 20  # bounds the (runs x points) work arrays of _inverse_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +206,13 @@ def _node_inverses(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
 
 
 def _inverse_sum(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
-    """sum_i g_i^{-1}(s) at each point s, summed in blocks of at most
-    _CHUNK_ELEMS node-point pairs (one node at least)."""
+    """sum_i g_i^{-1}(s) at each point s. A run of consecutive rows with equal
+    numerators is one division, its summed denominators over the shared numerator;
+    runs are summed in blocks of at most _CHUNK_ELEMS run-point pairs (one at least)."""
     pts = np.asarray(pts, dtype=complex)
+    if np.count_nonzero(num[1:, -1] == num[:-1, -1]):  # else no row equals a neighbour
+        starts = np.flatnonzero(np.r_[True, (num[1:] != num[:-1]).any(axis=1)])
+        num, den = num[starts], np.add.reduceat(den, starts)
     total = np.zeros(len(pts), complex)
     step = max(1, _CHUNK_ELEMS // len(pts))
     for lo in range(0, len(num), step):

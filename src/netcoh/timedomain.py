@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatchError,
     MissingReferenceError,
     NotIntegratorCouplingError,
+    SingularAtSError,
     UnstableModelError,
 )
 from .netfreq import FrequencyRegion, NetworkModel, _guarded_inverse
@@ -273,11 +274,12 @@ def stability_check(model: StateSpaceModel,
     max_re = max((l.real for l in relevant), default=-math.inf)
     stable = max_re < -_MARGINAL_TOL
     gamma = None
-    if freq_grid is not None:
-        gamma = max(
-            float(np.linalg.norm(model.response(s), 2))
-            for s in freq_grid.points()
-        )
+    for s in [] if freq_grid is None else freq_grid.points():
+        try:
+            norm = float(np.linalg.norm(model.response(s), 2))
+        except np.linalg.LinAlgError:  # s I - A is singular
+            raise SingularAtSError(f"s={s} is a pole of the model") from None
+        gamma = norm if gamma is None else max(gamma, norm)
     return StabilityCertificate(stable=stable, max_re_eigenvalue=float(max_re),
                                 gamma_hinf=gamma)
 

@@ -3,12 +3,15 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netcoh import netfreq
 from netcoh.errors import InvalidDistributionError, NotAffineError
 from netcoh.ensemble import (
     ConcentrationResult,
     EnsembleSpec,
+    _sample_coeffs,
     concentration_experiment,
     expected_coherent,
     full_network_concentration,
@@ -26,6 +29,13 @@ from netcoh.ratfun import harmonic_mean
 def swing_spec(seed=0):
     return EnsembleSpec("swing", {"m": uniform(1, 2), "d": uniform(1, 2)},
                         seed=seed)
+
+
+def turbine_spec(seed=0):
+    """Turbine nodes with a random tau: every numerator 1 + tau s is distinct."""
+    return EnsembleSpec("swing_turbine", {
+        "m": uniform(1, 2), "d": uniform(1, 2), "r_inv": uniform(0.1, 0.4),
+        "tau": uniform(1, 3)}, seed=seed)
 
 
 class TestDistribution:
@@ -233,6 +243,20 @@ class TestExpectedCoherent:
 SEGMENT = FrequencyRegion("vertical_segment", 0.1, (-2.0, 2.0), 9)
 
 
+@pytest.fixture
+def node_rows(monkeypatch):
+    """Row count of every _node_inverses call that _inverse_sum makes."""
+    rows = []
+    real = netfreq._node_inverses
+
+    def counting(num, den, pts):
+        rows.append(len(num))
+        return real(num, den, pts)
+
+    monkeypatch.setattr(netfreq, "_node_inverses", counting)
+    return rows
+
+
 class TestConcentration:
     def test_point_ensemble_zero_deviation(self):
         spec = EnsembleSpec("swing", {"m": point(1.0), "d": point(1.0)})
@@ -379,6 +403,62 @@ class TestFloatEvaluation:
         whole = mc(pts)
         monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 40)  # 4 nodes per block
         assert np.allclose(mc(pts), whole, rtol=1e-13, atol=0)
+
+    def test_distinct_numerators_in_blocks(self, monkeypatch, node_rows):
+        # every run is one node, so the blocks still split the draws
+        mc = expected_coherent(turbine_spec(6), "monte_carlo", mc_draws=300)
+        pts = SEGMENT.points()
+        whole = mc(pts)
+        monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 40)  # 4 runs per block
+        node_rows.clear()
+        assert np.allclose(mc(pts), whole, rtol=1e-13, atol=0)
+        assert node_rows == [4] * 75
+
+    def test_one_evaluated_row_per_swing_trial(self, node_rows):
+        # every swing node has the numerator 1: one run per trial
+        concentration_experiment(swing_spec(3), SEGMENT, [640], 3, 0.05)
+        assert node_rows == [1, 1, 1]
+
+    def test_distinct_numerators_are_never_merged(self, node_rows):
+        # ghat is a 10 000-draw Monte-Carlo mean, then n rows per trial
+        concentration_experiment(turbine_spec(3), SEGMENT, [40, 80], 2, 0.05)
+        assert node_rows == [10_000, 40, 40, 80, 80]
+
+
+# ascending numerator rows: 1, 2, s - 0.5 (a node zero on ZERO_GRID), 1 + s/2
+NUMERATORS = np.array([[1.0, 0.0], [2.0, 0.0], [-0.5, 1.0], [1.0, 0.5]])
+ZERO_GRID = FrequencyRegion("vertical_segment", 0.5, (-1.0, 1.0), 9).points()
+
+
+class TestInverseSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(range(len(NUMERATORS))), min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1))
+    @example([0] * 6, 0)  # all equal
+    @example([0, 1, 2, 3], 0)  # all distinct
+    @example([0, 0, 3, 3, 0], 0)  # interleaved runs
+    @example([1, 0], 0)  # [2] beside [1]
+    @example([3, 2, 2, 3], 0)  # a run with a node zero on the grid
+    def test_matches_node_by_node_sum(self, labels, seed):
+        # the same non-finite points, 1e-13 relative to sum_i |g_i^{-1}| elsewhere,
+        # bitwise when no two neighbouring numerators are equal
+        num = NUMERATORS[labels]
+        den = np.random.default_rng(seed).uniform(0.5, 3.0, (len(labels), 3))
+        terms = netfreq._node_inverses(num, den, ZERO_GRID)
+        want, got = terms.sum(axis=1), netfreq._inverse_sum(num, den, ZERO_GRID)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        err = np.abs(got[finite] - want[finite])
+        assert np.all(err <= 1e-13 * np.abs(terms).sum(axis=1)[finite])
+        if (num[1:] != num[:-1]).any(axis=1).all():
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [40, 640, 10_000])
+    def test_distinct_numerators_bitwise(self, n):
+        num, den = _sample_coeffs(turbine_spec(1), n, 0)
+        pts = SEGMENT.points()
+        want = netfreq._node_inverses(num, den, pts).sum(axis=1)
+        assert np.array_equal(netfreq._inverse_sum(num, den, pts), want)
 
 
 def _exact_full_network(spec, region, sizes, trials):

@@ -10,6 +10,7 @@ from netcoh.errors import (
     LengthMismatchError,
     MissingReferenceError,
     NotIntegratorCouplingError,
+    SingularAtSError,
     UnstableModelError,
 )
 from netcoh.graph import DisconnectedWarning, builder, from_edge_list
@@ -340,6 +341,12 @@ class TestStability:
         region = FrequencyRegion("vertical_segment", 0.0, (-10, 10), 41)
         cert = stability_check(model, region)
         assert cert.gamma_hinf == pytest.approx(1.0, abs=1e-6)
+
+    def test_pole_on_grid_is_a_typed_error(self):
+        # the grid passes through the pole s = -1, where sI - A is singular
+        region = FrequencyRegion("vertical_segment", -1.0, (-1, 1), 3)
+        with pytest.raises(SingularAtSError, match=r"^s=\(-1\+0j\) is a pole"):
+            stability_check(RF([1], [1, 1]).to_state_space(), region)
 
 
 class TestFrequencyDependence:
