@@ -11,7 +11,6 @@ frequency regions and connectivity scalings.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,8 +29,8 @@ from .errors import (
     require_number,
 )
 from .graph import LaplacianMatrix
-from .ratfun import (INFINITY, RationalFunction, StateSpaceModel, harmonic_mean,
-                     harmonic_realization)
+from .ratfun import (_COND_LIMIT, INFINITY, RationalFunction, StateSpaceModel,
+                     _guarded_inverse, harmonic_mean, harmonic_realization)
 
 __all__ = [
     "NetworkModel",
@@ -51,8 +50,10 @@ __all__ = [
     "nodal_multiplicity",
 ]
 
-_COND_LIMIT = 1e12
 MAJORANT_SAFETY = 1.05
+# FrequencyRegion.contains widens the region by this pad, which absorbs the
+# eigenvalue error of gbar_model's poles (measured at 1e-14 relative or less)
+_REGION_PAD = 1e-9
 _CHUNK_ELEMS = 1 << 20  # bounds the (runs x points) work arrays of _inverse_sum
 
 
@@ -159,14 +160,12 @@ class FrequencyRegion:
         sigmas = np.linspace(0.0, self.sigma, self.resolution)
         return [complex(sg, w) for sg in sigmas for w in omegas]
 
-    def contains(self, z: complex, pad: float = 1e-9) -> bool:
+    def contains(self, z: complex) -> bool:
         w0, w1 = self.omega_range
-        if self.kind == "vertical_segment":
-            re_lo = re_hi = self.sigma
-        else:
-            re_lo, re_hi = min(0.0, self.sigma), max(0.0, self.sigma)
-        return (re_lo - pad <= z.real <= re_hi + pad
-                and w0 - pad <= z.imag <= w1 + pad)
+        edge = self.sigma if self.kind == "vertical_segment" else 0.0  # rect: [0, sigma]
+        re_lo, re_hi = sorted((self.sigma, edge))
+        return (re_lo - _REGION_PAD <= z.real <= re_hi + _REGION_PAD
+                and w0 - _REGION_PAD <= z.imag <= w1 + _REGION_PAD)
 
 
 @dataclass(frozen=True)
@@ -234,22 +233,6 @@ def _gbar_values(net: NetworkModel, pts, ginv: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:  # s_k I - A is singular
             gbar[k] = INFINITY
     return gbar
-
-
-def _guarded_inverse(M: np.ndarray, error, message: str) -> np.ndarray:
-    """np.linalg.inv(M), or error(message) when cond_2(M) > _COND_LIMIT; the
-    O(n^2) bound ||A||_2^2 <= ||A||_1 ||A||_inf (Golub & Van Loan 2.3) on M
-    and its inverse settles most matrices, and the SVD decides the rest."""
-    T = None
-    with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore"):
-        T = np.linalg.inv(M)  # a non-finite T or norm fails the screen below
-        A = [np.abs(M), np.abs(T)]  # 1-norm: max column sum, inf-norm: max row sum
-        norms = [X.sum(axis).max() for axis in (0, 1) for X in A]
-        if math.sqrt(math.prod(norms)) <= _COND_LIMIT / 2:  # the 2 absorbs rounding in T
-            return T
-    if np.linalg.cond(M) > _COND_LIMIT:
-        raise error(message)
-    return np.linalg.inv(M) if T is None else T
 
 
 def _norm2(X: np.ndarray) -> float:

@@ -11,6 +11,7 @@ finding and state-space realization convert to floats at the boundary.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    AlgebraicLoopSingularError,
     DegreeZeroError,
     ImproperError,
     IndeterminateError,
@@ -32,6 +34,8 @@ __all__ = [
     "PassivityCertificate",
     "harmonic_mean",
     "harmonic_realization",
+    "stack",
+    "feedback",
 ]
 
 
@@ -324,15 +328,10 @@ class RationalFunction:
         are small rationals (e.g. ``num=[1], den=[7, 3]`` for 1/(3s+7)),
         otherwise the monic-denominator float form.
         """
-        denoms = [c.denominator for c in self.num.coeffs + self.den.coeffs]
-        scale = 1
-        for d in denoms:
-            scale = scale * d // math.gcd(scale, d)
+        scale = math.lcm(*(c.denominator for c in self.num.coeffs + self.den.coeffs))
         nums = [int(c * scale) for c in self.num.coeffs]
         dens = [int(c * scale) for c in self.den.coeffs]
-        content = 0
-        for v in nums + dens:
-            content = math.gcd(content, abs(v))
+        content = math.gcd(*nums, *dens)
         if content > 1:
             nums = [v // content for v in nums]
             dens = [v // content for v in dens]
@@ -408,15 +407,10 @@ def harmonic_realization(gs: Sequence[RationalFunction]) -> StateSpaceModel:
     if P.is_zero:  # sum g_i^{-1} is strictly proper, or 0
         raise (ImproperError("the harmonic mean is improper") if bank
                else ZeroFunctionError("the node inverses sum to zero"))
-    models = [RationalFunction([1], P).to_state_space()] + [b.to_state_space() for b in bank]
-    A, b, c = (_block_diag([getattr(m, k) for m in models]) for k in "ABC")
-    # column 0 of b and row 0 of c are 1/P's, with feedthrough d; the bank
-    # has none, and its columns and rows sum to its input b_r and output c_r
-    b_f, b_r = b[:, :1], b[:, 1:].sum(axis=1, keepdims=True)
-    c_f, c_r = c[:1], c[1:].sum(axis=0, keepdims=True)
-    d = models[0].D
-    C = c_f - d * c_r
-    return StateSpaceModel(A + b_r @ C - b_f @ c_r, b_f + d * b_r, C, d)
+    blocks = stack([b.to_state_space() for b in bank])
+    summed = StateSpaceModel(blocks.A, blocks.B.sum(1, keepdims=True),
+                             blocks.C.sum(0, keepdims=True), blocks.D.sum(keepdims=True))
+    return feedback(RationalFunction([1], P).to_state_space(), summed)
 
 
 def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
@@ -464,6 +458,43 @@ class StateSpaceModel:
             return self.D.astype(complex)
         X = np.linalg.solve(s * np.eye(n) - self.A, self.B.astype(complex))
         return self.C @ X + self.D
+
+
+def stack(models: Sequence[StateSpaceModel]) -> StateSpaceModel:
+    """The models side by side, unconnected: block-diagonal A, B, C and D."""
+    return StateSpaceModel(*(_block_diag([getattr(m, k) for m in models]) for k in "ABCD"))
+
+
+def feedback(G: StateSpaceModel, H: StateSpaceModel) -> StateSpaceModel:
+    """u -> y for y = G(u - H y), with state [x_G; x_H] (Zhou, Doyle & Glover
+    1996, 3.6).  The direct-feedthrough loop is solved through the guarded
+    W = (I + D_G D_H)^{-1}: y = W (C_G x_G - D_G C_H x_H + D_G u)."""
+    W = _guarded_inverse(np.eye(len(G.D)) + G.D @ H.D, AlgebraicLoopSingularError,
+                         "direct-feedthrough loop I + D_G D_F L is singular")
+    C, D = np.hstack([W @ G.C, -W @ G.D @ H.C]), W @ G.D  # y = C [x_G; x_H] + D u
+    A = np.block([[G.A, -G.B @ H.C], [np.zeros((H.order, G.order)), H.A]])
+    A += np.vstack([-G.B @ H.D @ C, H.B @ C])
+    B = np.vstack([G.B @ (np.eye(len(H.D)) - H.D @ D), H.B @ D])
+    return StateSpaceModel(A, B, C, D)
+
+
+_COND_LIMIT = 1e12
+
+
+def _guarded_inverse(M: np.ndarray, error, message: str) -> np.ndarray:
+    """np.linalg.inv(M), or error(message) when cond_2(M) > _COND_LIMIT; the
+    O(n^2) bound ||A||_2^2 <= ||A||_1 ||A||_inf (Golub & Van Loan 2.3) on M
+    and its inverse settles most matrices, and the SVD decides the rest."""
+    T = None
+    with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore"):
+        T = np.linalg.inv(M)  # a non-finite T or norm fails the screen below
+        A = [np.abs(M), np.abs(T)]  # 1-norm: max column sum, inf-norm: max row sum
+        norms = [X.sum(axis).max() for axis in (0, 1) for X in A]
+        if math.sqrt(math.prod(norms)) <= _COND_LIMIT / 2:  # the 2 absorbs rounding in T
+            return T
+    if np.linalg.cond(M) > _COND_LIMIT:
+        raise error(message)
+    return np.linalg.inv(M) if T is None else T
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    AlgebraicLoopSingularError,
     DisconnectedError,
     LengthMismatchError,
     MissingReferenceError,
@@ -25,8 +24,8 @@ from .errors import (
     SingularAtSError,
     UnstableModelError,
 )
-from .netfreq import FrequencyRegion, NetworkModel, _guarded_inverse
-from .ratfun import RationalFunction, StateSpaceModel, _block_diag
+from .netfreq import FrequencyRegion, NetworkModel
+from .ratfun import RationalFunction, StateSpaceModel, feedback, stack
 
 __all__ = [
     "InputSignal",
@@ -108,47 +107,20 @@ class StabilityCertificate:
 
 
 def assemble_closed_loop(net: NetworkModel) -> StateSpaceModel:
-    """Composite realization of u -> y for y = G(u - f L y)."""
-    L = net.laplacian.entries
-    n = net.n
-    node_ss = [g.to_state_space() for g in net.nodes]
-    f_ss = net.coupling.to_state_space()
-
-    Ag, Bg, Cg = (_block_diag([getattr(m, k) for m in node_ss]) for k in "ABC")
-    Dg = np.diag([m.D[0, 0] for m in node_ss])
-
-    Af, Bf, Cf = (_block_diag([getattr(f_ss, k)] * n) for k in "ABC")
-    Df = f_ss.D[0, 0] * np.eye(n)
-
-    W = _guarded_inverse(np.eye(n) + Dg @ Df @ L, AlgebraicLoopSingularError,
-                         "direct-feedthrough loop I + D_G D_F L is singular")
-
-    ng = Ag.shape[0]
-    nf = Af.shape[0]
-    # y = Cy x + Dy u with x = [x_g; x_f]
-    Cy = np.hstack([W @ Cg, -W @ Dg @ Cf])
-    Dy = W @ Dg
-
-    A = np.zeros((ng + nf, ng + nf))
-    A[:ng, :ng] = Ag
-    A[:ng, ng:] = -Bg @ Cf
-    A[ng:, ng:] = Af
-    A[:ng, :] += -Bg @ Df @ L @ Cy
-    A[ng:, :] += Bf @ L @ Cy
-
-    B = np.zeros((ng + nf, n))
-    B[:ng, :] = Bg @ (np.eye(n) - Df @ L @ Dy)
-    B[ng:, :] = Bf @ L @ Dy
-    return StateSpaceModel(A, B, Cy, Dy)
+    """Composite realization of u -> y for y = G(u - f L y): the stacked nodes
+    in feedback with one copy of f per channel, acting on L y."""
+    L, f = net.laplacian.entries, stack([net.coupling.to_state_space()] * net.n)
+    return feedback(stack([g.to_state_space() for g in net.nodes]),
+                    StateSpaceModel(f.A, f.B @ L, f.C, f.D @ L))
 
 
 def coherence_realization(net: NetworkModel) -> StateSpaceModel:
     """One realization of u -> [y; ybar]: the closed loop stacked with
     net.gbar_model, the float realization of gbar/n, driven by 1^T u, so
     output n + 1 is the coherent reference gbar (1^T u)/n."""
-    loop, ref, ones = assemble_closed_loop(net), net.gbar_model, np.ones((1, net.n))
-    return StateSpaceModel(_block_diag([loop.A, ref.A]), np.vstack([loop.B, ref.B @ ones]),
-                           _block_diag([loop.C, ref.C]), np.vstack([loop.D, ref.D @ ones]))
+    both = stack([assemble_closed_loop(net), net.gbar_model])
+    inputs = np.vstack([np.eye(net.n), np.ones((1, net.n))])
+    return StateSpaceModel(both.A, both.B @ inputs, both.C, both.D @ inputs)
 
 
 # [13/13] Pade coefficients and the 1-norm up to which that approximant is

@@ -6,11 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from netcoh import ratfun
 from netcoh.errors import (
+    AlgebraicLoopSingularError,
     DegreeZeroError,
     ImproperError,
     ZeroFunctionError,
@@ -18,6 +20,8 @@ from netcoh.errors import (
 from netcoh.ratfun import (
     Polynomial,
     RationalFunction,
+    StateSpaceModel,
+    feedback,
     harmonic_mean,
     passivity_check,
     poly_gcd,
@@ -511,6 +515,88 @@ class TestHarmonicRealization:
     def test_zero_rejected(self, gs):
         with pytest.raises(ZeroFunctionError):
             ratfun.harmonic_realization(gs)
+
+
+def _harmonic_realization_before(gs):
+    """harmonic_realization with the hand-derived closing lines that
+    ratfun.feedback replaced, kept as an oracle."""
+    P, bank = Polynomial([]), []
+    for q, p in ratfun._inverse_groups(gs).items():
+        quot, rem = divmod(p, q)
+        P, block = P + quot, RationalFunction(rem, q)
+        for other in [o for o in bank if ratfun._share_a_root(o.den, block.den)]:
+            bank.remove(other)
+            block = block + other
+        if not block.is_zero:
+            bank.append(block)
+    models = [RationalFunction([1], P).to_state_space()] + [b.to_state_space() for b in bank]
+    A, b, c = (ratfun._block_diag([getattr(m, k) for m in models]) for k in "ABC")
+    b_f, b_r = b[:, :1], b[:, 1:].sum(axis=1, keepdims=True)
+    c_f, c_r = c[:1], c[1:].sum(axis=0, keepdims=True)
+    d = models[0].D
+    C = c_f - d * c_r
+    return StateSpaceModel(A + b_r @ C - b_f @ c_r, b_f + d * b_r, C, d)
+
+
+def _bits(model):
+    return [(getattr(model, k).shape, getattr(model, k).tobytes()) for k in "ABCD"]
+
+
+class TestHarmonicRealizationOracle:
+    @pytest.mark.parametrize("n", [2, 5, 14, 64])
+    def test_mixed_nodes_bitwise_equal_to_the_closing_lines_before(self, n):
+        gs = _mixed_nodes(n, seed=n)
+        want = _bits(_harmonic_realization_before(gs))
+        assert _bits(ratfun.harmonic_realization(gs)) == want
+
+    @pytest.mark.parametrize("gs", [
+        [rf([1, 1], [3, 2]), rf([1], [1])],
+        SHARED_ROOT_PAIR,
+        [rf([1], [1, 2]), rf([1], [3, 4])],
+    ], ids=["feedthrough", "shared-root", "swing"])
+    def test_small_cases_bitwise_equal(self, gs):
+        want = _bits(_harmonic_realization_before(gs))
+        assert _bits(ratfun.harmonic_realization(gs)) == want
+
+
+ENTRIES = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _loops(draw):
+    """G (m inputs, p outputs) and H (p inputs, m outputs), each with 1 to 3
+    states and feedthrough, state matrices shifted so Re eig <= -1, and a
+    point s with Re s >= 0."""
+    m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def model(ins, outs):
+        k = draw(st.integers(1, 3))
+        A, B, C, D = (draw(arrays(float, shape, elements=ENTRIES))
+                      for shape in ((k, k), (k, ins), (outs, k), (outs, ins)))
+        return StateSpaceModel(A - 4.0 * np.eye(k), B, C, D)
+
+    s = complex(draw(st.floats(0.0, 2.0)), draw(st.floats(-5.0, 5.0)))
+    return model(m, p), model(p, m), s
+
+
+class TestFeedback:
+    @given(_loops())
+    @settings(max_examples=150, deadline=None)
+    def test_mimo_loop_matches_the_transfer_formula(self, loop):
+        G, H, s = loop
+        Gs, Hs = G.response(s), H.response(s)
+        M = np.eye(len(Gs)) + Gs @ Hs
+        assume(np.linalg.cond(M) < 1e4)
+        want = np.linalg.solve(M, Gs)
+        got = feedback(G, H).response(s)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_singular_feedthrough_loop_names_the_network_loop(self):
+        G = StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]])
+        H = StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-1.0]])
+        with pytest.raises(AlgebraicLoopSingularError) as exc:
+            feedback(G, H)
+        assert str(exc.value) == "direct-feedthrough loop I + D_G D_F L is singular"
 
 
 class TestPassivity:

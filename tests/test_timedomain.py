@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netcoh import timedomain
+from netcoh import ratfun, timedomain
 from netcoh.errors import (
     AlgebraicLoopSingularError,
     DisconnectedError,
@@ -16,6 +16,7 @@ from netcoh.errors import (
 from netcoh.graph import DisconnectedWarning, builder, from_edge_list
 from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
+from netcoh.ratfun import StateSpaceModel
 from netcoh.timedomain import (
     _expm,
     InputSignal,
@@ -214,6 +215,106 @@ class TestAssembly:
         with pytest.raises(AlgebraicLoopSingularError,
                            match="direct-feedthrough loop I \\+ D_G D_F L is singular"):
             assemble_closed_loop(net)
+
+
+def _assemble_closed_loop_before(net):
+    """The slice-by-slice assembly that ratfun.feedback replaced, kept as an oracle."""
+    L = net.laplacian.entries
+    n = net.n
+    node_ss = [g.to_state_space() for g in net.nodes]
+    f_ss = net.coupling.to_state_space()
+
+    Ag, Bg, Cg = (ratfun._block_diag([getattr(m, k) for m in node_ss]) for k in "ABC")
+    Dg = np.diag([m.D[0, 0] for m in node_ss])
+
+    Af, Bf, Cf = (ratfun._block_diag([getattr(f_ss, k)] * n) for k in "ABC")
+    Df = f_ss.D[0, 0] * np.eye(n)
+
+    W = ratfun._guarded_inverse(np.eye(n) + Dg @ Df @ L, AlgebraicLoopSingularError,
+                                "direct-feedthrough loop I + D_G D_F L is singular")
+
+    ng = Ag.shape[0]
+    nf = Af.shape[0]
+    Cy = np.hstack([W @ Cg, -W @ Dg @ Cf])
+    Dy = W @ Dg
+
+    A = np.zeros((ng + nf, ng + nf))
+    A[:ng, :ng] = Ag
+    A[:ng, ng:] = -Bg @ Cf
+    A[ng:, ng:] = Af
+    A[:ng, :] += -Bg @ Df @ L @ Cy
+    A[ng:, :] += Bf @ L @ Cy
+
+    B = np.zeros((ng + nf, n))
+    B[:ng, :] = Bg @ (np.eye(n) - Df @ L @ Dy)
+    B[ng:, :] = Bf @ L @ Dy
+    return StateSpaceModel(A, B, Cy, Dy)
+
+
+def _coherence_realization_before(net):
+    loop, ref, ones = _assemble_closed_loop_before(net), net.gbar_model, np.ones((1, net.n))
+    block = ratfun._block_diag
+    return StateSpaceModel(block([loop.A, ref.A]), np.vstack([loop.B, ref.B @ ones]),
+                           block([loop.C, ref.C]), np.vstack([loop.D, ref.D @ ones]))
+
+
+def _turbine(m, d, r, tau):
+    return RF([1, tau], [d + r, m + d * tau, m * tau])
+
+
+def _feedthrough(a, b, c):
+    return RF([b, a], [c, 1])  # (a s + b)/(s + c), feedthrough a
+
+
+def _drawn_net(family, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    node, f = {
+        "swing-static": (lambda: swing(u(1, 3), u(0.5, 1.5)), RF([u(0.5, 3)], [1])),
+        "turbine-lag": (lambda: _turbine(u(1, 3), u(0.5, 1.5), u(2, 6), u(0.5, 8)),
+                        RF([2, 1], [1, 1])),
+        # a feedthrough of 2 in f keeps D_G D_F L's products exact in either order
+        "feedthrough": (lambda: _feedthrough(u(0.5, 2), u(0.5, 2), u(0.5, 2)),
+                        RF([u(0.5, 3), 2], [u(0.5, 2), 1])),
+        "integrator": (lambda: swing(u(1, 3), u(0.5, 1.5)), INTEGRATOR),
+    }[family]
+    graph = builder(["ring", "complete", "star", "path"][seed % 4], n,
+                    weight=u(0.5, 2))
+    return NetworkModel([node() for _ in range(n)], f, graph)
+
+
+def _bits(model):
+    return [(getattr(model, k).shape, getattr(model, k).tobytes()) for k in "ABCD"]
+
+
+class TestAssemblyOracle:
+    """Closing both loops through ratfun.feedback gives the old assembly's
+    matrices bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("family", ["swing-static", "turbine-lag", "feedthrough",
+                                        "integrator"])
+    def test_bitwise_equal_to_the_assembly_before(self, family, seed):
+        net = _drawn_net(family, seed)
+        assert _bits(assemble_closed_loop(net)) == _bits(_assemble_closed_loop_before(net))
+        assert _bits(coherence_realization(net)) == _bits(
+            _coherence_realization_before(net))
+
+    def test_reassociated_feedthrough_products_agree_to_rounding(self):
+        # (D_G D_F) L became D_G (D_F L): here, with feedthroughs and weights
+        # that are not powers of two, the two products round apart by an ulp
+        rng = np.random.default_rng(5)
+        nodes = [_feedthrough(*rng.uniform(0.5, 2, 3)) for _ in range(6)]
+        net = NetworkModel(nodes, RF([0.7, 1.3], [0.9, 1]),
+                           builder("complete", 6, weight=0.7))
+        new, old = assemble_closed_loop(net), _assemble_closed_loop_before(net)
+        for k in "ABCD":
+            np.testing.assert_allclose(getattr(new, k), getattr(old, k),
+                                       rtol=1e-14, atol=1e-14)
 
 
 class TestCoherentReference:
