@@ -1,8 +1,10 @@
 """Weighted symmetric graph Laplacians with cached spectra.
 
-The eigendecomposition is computed eagerly at construction: every
-frequency-domain operation downstream reads lambda_2 and the eigenvector
-basis repeatedly.  The eigenvector matrix is arranged as V = [1/sqrt(n), V_perp].
+The eigendecomposition is computed eagerly at construction and shared by every
+rescaled copy: bounds and sweeps read lambda_2, and the homogeneous decomposition
+check reads V_perp of the eigenvector matrix V = [1/sqrt(n), V_perp].  The zero
+cluster is snapped to exact zeros, so lambda_2 = 0 exactly when the graph is
+disconnected.
 """
 
 from __future__ import annotations
@@ -36,35 +38,22 @@ class DisconnectedWarning(UserWarning):
     """The zero eigenvalue has multiplicity > 1: the graph is disconnected."""
 
 
-def _zero_multiplicity(evals: np.ndarray) -> int:
-    """Eigenvalues within ZERO_CLUSTER_REL lambda_max (or 1e-14) of 0, at least 1."""
-    lam_max = max(float(evals[-1]), 0.0)
-    cutoff = ZERO_CLUSTER_REL * lam_max if lam_max > 0 else 1e-14
-    return max(int(np.sum(np.abs(evals) <= cutoff)), 1)
-
-
 def _spectrum(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh with the zero cluster, eigenvalues within ZERO_CLUSTER_REL lambda_max
+    (or 1e-14) of 0, snapped to exact zeros; the cluster's eigenvectors become
+    1/sqrt(n) followed by an orthonormal basis of their projection against it."""
     n = entries.shape[0]
     evals, evecs = np.linalg.eigh(entries)
-    zero_mult = _zero_multiplicity(evals)
-    evals = evals.copy()
-    evals[0] = 0.0
-
-    # Force 1/sqrt(n) as the leading null-space vector; re-orthonormalize the
-    # rest of the zero cluster around it.
+    lam_max = max(float(evals[-1]), 0.0)
+    zero = np.abs(evals) <= (ZERO_CLUSTER_REL * lam_max if lam_max > 0 else 1e-14)
+    evals[zero] = 0.0
     ones = np.ones(n) / np.sqrt(n)
-    cluster = evecs[:, :zero_mult]
-    basis = [ones]
-    for k in range(cluster.shape[1]):
-        v = cluster[:, k].copy()
-        for b in basis:
-            v -= (b @ v) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-    basis = basis[:zero_mult]
-    evecs = evecs.copy()
-    evecs[:, :zero_mult] = np.column_stack(basis)
+    cluster = evecs[:, zero]
+    if cluster.shape[1] > 1:  # the projection has rank one less than the cluster
+        cluster -= np.outer(ones, ones @ cluster)
+        cluster[:, 1:] = np.linalg.svd(cluster, full_matrices=False)[0][:, :-1]
+    cluster[:, :1] = ones[:, None]
+    evecs[:, zero] = cluster
     return evals, evecs
 
 
@@ -87,14 +76,15 @@ class LaplacianMatrix:
                 raise ValueError("Laplacian must be symmetric")
             if np.linalg.norm(entries @ np.ones(n)) > 1e-10 * norm:
                 raise ValueError("Laplacian rows must sum to zero")
-        if eigenvalues is None or eigenvectors is None:
+        computed = eigenvalues is None or eigenvectors is None
+        if computed:
             eigenvalues, eigenvectors = _spectrum(entries)
-        if eigenvalues[0] < -1e-10 * max(1.0, abs(eigenvalues[-1])):
+        if eigenvalues[0] < 0:  # a negative eigenvalue outside the zero cluster
             raise ValueError("Laplacian is not positive semidefinite")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "eigenvalues", np.asarray(eigenvalues, float))
         object.__setattr__(self, "eigenvectors", np.asarray(eigenvectors, float))
-        if self.zero_multiplicity > 1:
+        if computed and self.zero_multiplicity > 1:
             warnings.warn(
                 "zero eigenvalue has multiplicity "
                 f"{self.zero_multiplicity}: graph is disconnected",
@@ -108,12 +98,12 @@ class LaplacianMatrix:
 
     @property
     def lambda2(self) -> float:
-        """Algebraic connectivity; 0 for a single node."""
+        """Algebraic connectivity; exactly 0 for one node or a disconnected graph."""
         return float(self.eigenvalues[1]) if self.n > 1 else 0.0
 
     @property
     def zero_multiplicity(self) -> int:
-        return _zero_multiplicity(self.eigenvalues)
+        return int(np.count_nonzero(self.eigenvalues == 0))
 
     @property
     def v_perp(self) -> np.ndarray:
@@ -123,11 +113,9 @@ class LaplacianMatrix:
         """alpha * L; spectrum scales linearly, eigenvectors unchanged."""
         if require_number("alpha", alpha) <= 0:
             raise NonPositiveAlphaError(f"alpha must be positive, got {alpha}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedWarning)
-            return LaplacianMatrix(
-                alpha * self.entries, alpha * self.eigenvalues, self.eigenvectors
-            )
+        return LaplacianMatrix(
+            alpha * self.entries, alpha * self.eigenvalues, self.eigenvectors
+        )
 
 
 def from_edge_list(edges, n: int) -> LaplacianMatrix:

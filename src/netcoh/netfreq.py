@@ -111,13 +111,10 @@ class NetworkModel:
         return self._cached("rows", lambda: (_pad([g.num for g in self.nodes]),
                                              _pad([g.den for g in self.nodes])))
 
-    def with_laplacian(self, laplacian: LaplacianMatrix) -> "NetworkModel":
-        net = NetworkModel(self.nodes, self.coupling, laplacian)
+    def scaled(self, alpha: float) -> "NetworkModel":
+        net = NetworkModel(self.nodes, self.coupling, self.laplacian.scale(alpha))
         object.__setattr__(net, "_shared", self._shared)
         return net
-
-    def scaled(self, alpha: float) -> "NetworkModel":
-        return self.with_laplacian(self.laplacian.scale(alpha))
 
 
 @dataclass(frozen=True)
@@ -209,9 +206,8 @@ def _inverse_sum(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
     numerators is one division, its summed denominators over the shared numerator;
     runs are summed in blocks of at most _CHUNK_ELEMS run-point pairs (one at least)."""
     pts = np.asarray(pts, dtype=complex)
-    if np.count_nonzero(num[1:, -1] == num[:-1, -1]):  # else no row equals a neighbour
-        starts = np.flatnonzero(np.r_[True, (num[1:] != num[:-1]).any(axis=1)])
-        num, den = num[starts], np.add.reduceat(den, starts)
+    starts = np.flatnonzero(np.r_[True, (num[1:] != num[:-1]).any(axis=1)])
+    num, den = num[starts], np.add.reduceat(den, starts)
     total = np.zeros(len(pts), complex)
     step = max(1, _CHUNK_ELEMS // len(pts))
     for lo in range(0, len(num), step):

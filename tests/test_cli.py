@@ -225,6 +225,41 @@ class TestFreqdep:
         assert err[0].startswith("error: kind=Disconnected detail=")
 
 
+class TestTwoComponentEdgeList:
+    """Five swing nodes with f = 1/s on the edges 0-1, 2-3 and 3-4, weight 0.3."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        (tmp_path / "edges.txt").write_text("n=5\n0 1 0.3\n2 3 0.3\n3 4 0.3\n")
+        nodes = [{"num": [1], "den": [d, m]}
+                 for m, d in [(1, 1), (2, 2), (1.2, 1.5), (2, 1), (1.5, 0.8)]]
+        return write_cfg(tmp_path, {
+            "net": {"nodes": nodes, "coupling": {"num": [1], "den": [0, 1]},
+                    "laplacian": {"file": "edges.txt"}},
+            "region": {"kind": "vertical_segment", "sigma": 0.1,
+                       "omega_range": [-1, 1], "resolution": 5},
+            "simulate": {"t_end": 2.0, "dt": 0.1}})
+
+    @pytest.mark.parametrize("command", ["bound", "freqdep"])
+    def test_exit_3(self, tmp_path, capsys, path, command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, path, out=str(tmp_path)) == 3
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: kind=Disconnected detail=")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_analyze_reports_zero_connectivity(self, tmp_path, path):
+        assert run("analyze", path, out=str(tmp_path)) == 0
+        rows = read_artifact(tmp_path, "sweep.csv").strip().split("\n")[4:]
+        assert len(rows) == 5
+        for row in rows:
+            cells = dict(zip(cli.SWEEP_HEADER.split(","), row.split(",")))
+            assert (cells["lambda2"], cells["eff_conn"]) == ("0.0", "0.0")
+
+
 class TestConcentrate:
     def test_two_artifacts(self, tmp_path):
         cfg = {

@@ -13,6 +13,7 @@ from netcoh.errors import (
 )
 from netcoh.graph import (
     DisconnectedWarning,
+    LaplacianMatrix,
     builder,
     from_edge_list,
     read_edge_list,
@@ -138,24 +139,94 @@ class TestInvariants:
             connected = len({find(i) for i in range(n)}) == 1
             if not edges:
                 continue
-            import warnings
-
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DisconnectedWarning)
                 L = from_edge_list(edges, n)
-            assert (L.lambda2 > 1e-10) == connected
+            assert (L.lambda2 > 0) == connected
 
     def test_disconnected_warning(self):
         with pytest.warns(DisconnectedWarning):
             from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
+
+    def test_scaled_copy_does_not_warn_again(self):
+        with pytest.warns(DisconnectedWarning):
+            L = from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert L.scale(2.0).zero_multiplicity == 2
+
+    def test_negative_eigenvalue_is_not_psd(self):
+        # rows sum to zero, eigenvalues -sqrt(3), 0, sqrt(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Laplacian is not positive semidefinite$"):
+                LaplacianMatrix([[-1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, -1.0, 1.0]])
+
+
+def _components(rng, sizes):
+    """Random weighted connected components on consecutive nodes."""
+    edges, base = [], 0
+    for m in sizes:
+        edges += [(base + i, base + i + 1, float(rng.uniform(0.1, 5.0)))
+                  for i in range(m - 1)]
+        edges += [(base + int(i), base + int(j), float(rng.uniform(0.1, 5.0)))
+                  for i, j in rng.integers(0, m, (m, 2)) if i != j]
+        base += m
+    return edges, base
+
+
+class TestZeroCluster:
+    @pytest.mark.parametrize("sizes", [(2, 3), (4, 1, 6), (1, 1, 1, 1)],
+                             ids=["two-components", "three-components", "edgeless"])
+    def test_exact_zeros_and_orthonormal_eigenbasis(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        for _ in range(20):
+            edges, n = _components(rng, sizes)
+            with pytest.warns(DisconnectedWarning):
+                L = from_edge_list(edges, n)
+            V, lam = L.eigenvectors, L.eigenvalues
+            assert np.array_equal(lam[:len(sizes)], np.zeros(len(sizes)))
+            assert np.all(lam[len(sizes):] > 0)
+            assert (L.lambda2, L.zero_multiplicity) == (0.0, len(sizes))
+            assert np.array_equal(V[:, 0], np.ones(n) / np.sqrt(n))
+            assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-12
+            assert np.abs(L.entries @ V - V * lam).max() <= 1e-12
+
+    def test_connected_spectra_bitwise_equal_to_gram_schmidt(self):
+        rng = np.random.default_rng(11)
+        graphs = [builder(kind, n, w) for kind in ("complete", "ring", "star", "path")
+                  for n in (2, 3, 7, 40) for w in (1.0, 0.37, 20.0)]
+        graphs += [from_edge_list(*_components(rng, [int(rng.integers(2, 30))]))
+                   for _ in range(100)]
+        for L in graphs:
+            want = _spectrum_before(L.entries)
+            assert L.eigenvalues.tobytes() == want[0].tobytes()
+            assert L.eigenvectors.tobytes() == want[1].tobytes()
+
+
+def _spectrum_before(entries):
+    """The zero cluster by Gram-Schmidt against 1/sqrt(n), only evals[0] zeroed."""
+    n = entries.shape[0]
+    evals, evecs = np.linalg.eigh(entries)
+    lam_max = max(float(evals[-1]), 0.0)
+    cutoff = 1e-10 * lam_max if lam_max > 0 else 1e-14
+    zero_mult = max(int(np.sum(np.abs(evals) <= cutoff)), 1)
+    evals[0] = 0.0
+    basis = [np.ones(n) / np.sqrt(n)]
+    for k in range(zero_mult):
+        v = evecs[:, k].copy()
+        for b in basis:
+            v -= (b @ v) * b
+        if np.linalg.norm(v) > 1e-8:
+            basis.append(v / np.linalg.norm(v))
+    evecs[:, :zero_mult] = np.column_stack(basis[:zero_mult])
+    return evals, evecs
 
 
 class TestEdgeListFile(object):
     def test_parse_with_comments_and_header(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("# a triangle plus isolated node\nn=4\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DisconnectedWarning)
             L = read_edge_list(p)

@@ -382,6 +382,14 @@ class TestPoleApproach:
         with pytest.raises(DisconnectedError):
             pole_approach_sweep(net, 0.0, [0.1])
 
+    def test_two_weighted_components_rejected(self):
+        # eigh puts lambda_2 of this graph at about 1e-17, not at 0
+        with pytest.warns(DisconnectedWarning):
+            L = from_edge_list([(0, 1, 0.3), (2, 3, 0.3), (3, 4, 0.3)], 5)
+        nodes = [swing(1, 1), swing(2, 2), swing(1.2, 1.5), swing(2, 1), swing(1.5, 0.8)]
+        with pytest.raises(DisconnectedError):
+            pole_approach_sweep(NetworkModel(nodes, INTEGRATOR, L), 0.0, [0.1])
+
     @pytest.mark.parametrize("radii, direction, message", [
         ([0.1, -0.01], 1.0, "radius must be positive"),
         ([0.1, 0.0], 1.0, "radius must be positive"),

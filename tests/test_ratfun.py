@@ -583,7 +583,9 @@ class TestFeedback:
     @given(_loops())
     @settings(max_examples=150, deadline=None)
     def test_mimo_loop_matches_the_transfer_formula(self, loop):
+        # only well-posed loops: feedback refuses a near-singular I + D_G D_H
         G, H, s = loop
+        assume(np.linalg.cond(np.eye(len(G.D)) + G.D @ H.D) < 1e4)
         Gs, Hs = G.response(s), H.response(s)
         M = np.eye(len(Gs)) + Gs @ Hs
         assume(np.linalg.cond(M) < 1e4)
@@ -597,6 +599,13 @@ class TestFeedback:
         with pytest.raises(AlgebraicLoopSingularError) as exc:
             feedback(G, H)
         assert str(exc.value) == "direct-feedthrough loop I + D_G D_F L is singular"
+
+    def test_improper_closed_loop_is_refused(self):
+        # G = 1 and H = 1/(s+4) - 1: I + D_G D_H = 0, and the loop s + 4 is improper
+        G = StateSpaceModel([[-4.0]], [[0.0]], [[0.0]], [[1.0]])
+        H = StateSpaceModel([[-4.0]], [[1.0]], [[1.0]], [[-1.0]])
+        with pytest.raises(AlgebraicLoopSingularError):
+            feedback(G, H)
 
 
 class TestPassivity:
