@@ -337,14 +337,13 @@ def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
     complete = functools.cache(functools.partial(builder, "complete"))
 
     def deviation(n, stream, pts, ghat_vals):
-        rows = _sample_coeffs(spec, n, stream)
-        ginv = _node_inverses(*rows, pts)
-        if np.isinf(ginv).any():  # a node zero on the grid: the exact nodes
+        ginv = _node_inverses(*_sample_coeffs(spec, n, stream), pts)
+        if np.isinf(ginv).any():  # a node zero: _transfer's limit needs reduced nodes
             nodes = sample_nodes(spec, n, stream)
-            rows = _pad([g.num for g in nodes]), _pad([g.den for g in nodes])
-            ginv = _node_inverses(*rows, pts)
+            ginv = _node_inverses(_pad([g.num for g in nodes]),
+                                  _pad([g.den for g in nodes]), pts)
         L = complete(n).entries
-        return max(np.linalg.norm(_transfer(rows, s, row, 1.0, L) - gv / n, 2)
+        return max(np.linalg.norm(_transfer(s, row, 1.0, L) - gv / n, 2)
                    for s, row, gv in zip(pts, ginv, ghat_vals))
 
     return _run_concentration(spec, region, sizes, trials, epsilon, deviation,

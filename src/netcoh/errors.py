@@ -55,7 +55,7 @@ class SingularAtSError(NetcohError):
 
 
 class NodeZeroAtSError(NetcohError):
-    """Some g_i(s) = 0 and the fallback formula is singular too."""
+    """Some g_i(s) = 0 and the closed-loop matrix at s is singular."""
 
 
 class CoherentPoleAtSError(NetcohError):

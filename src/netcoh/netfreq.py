@@ -47,7 +47,6 @@ __all__ = [
     "connectivity_sweep",
     "pole_approach_sweep",
     "homogeneous_decomposition_check",
-    "nodal_multiplicity",
 ]
 
 MAJORANT_SAFETY = 1.05
@@ -243,28 +242,25 @@ def _norm2(X: np.ndarray) -> float:
     return math.ldexp(math.sqrt(max(lam, 0.0)), e)
 
 
-def _transfer(rows, s: complex, ginv: np.ndarray, fv: complex,
-              L: np.ndarray) -> np.ndarray:
+def _transfer(s: complex, ginv: np.ndarray, fv: complex, L: np.ndarray) -> np.ndarray:
     """T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1} from the nodes' inverses ginv
-    and fv = f(s) at one point; when some g_i(s) = 0 (g_i^{-1} infinite) it
-    falls back to (I + G f L)^{-1} G, G from the coefficient rows."""
+    and fv = f(s) at one point.  Where g_i(s) = 0 (g_i^{-1} infinite) this is
+    the limit: row i of the inverted matrix is e_i and column i of T is 0, as
+    row i of diag{g^{-1}} + f L scaled by g_i's numerator shows.  That limit
+    needs each node's numerator and denominator to have no common root at s."""
     if not cmath.isfinite(fv):
         raise SingularAtSError(f"s={s} is a pole of the coupling dynamics")
-    if np.isfinite(ginv).all():
-        M = np.diag(ginv) + fv * L
-        if not np.isfinite(M).all():
-            raise SingularAtSError(f"closed-loop matrix not finite at s={s}")
-        return _guarded_inverse(M, SingularAtSError,
-                                f"closed-loop matrix singular at s={s}")
-    nv, dv = (_horner(c, np.array([s], complex))[0] for c in rows)
-    if np.any(dv == 0):
+    live = np.isfinite(ginv)
+    if not live.all() and np.any(ginv == 0):
         raise SingularAtSError(
             f"s={s} is simultaneously a zero and a pole among the nodes")
-    G = np.diag(nv / dv)
-    M = np.eye(len(G)) + G * fv @ L
-    _guarded_inverse(M, NodeZeroAtSError,
-                     f"some g_i({s}) = 0 and the fallback formula is singular")
-    return np.linalg.solve(M, G)
+    M = np.diag(np.where(live, ginv, 1)) + fv * L * live[:, None]
+    if not np.isfinite(M).all():
+        raise SingularAtSError(f"closed-loop matrix not finite at s={s}")
+    error = SingularAtSError if live.all() else NodeZeroAtSError
+    T = _guarded_inverse(M, error, f"closed-loop matrix singular at s={s}")
+    T *= live  # in place: a second n x n array here raises the peak memory
+    return T
 
 
 def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
@@ -277,8 +273,8 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
     run coherent pole, coupling pole, singular matrix or node zero, then
     majorants; a reused point passes the middle two as its class did.
     """
-    rows, L, n = net._rows, net.laplacian.entries, net.n
-    ginv = _node_inverses(*rows, pts)
+    L, n = net.laplacian.entries, net.n
+    ginv = _node_inverses(*net._rows, pts)
     bounded = M1 is not None and M2 is not None
     lam2 = net.laplacian.lambda2
     reports, t_norms, solved = [], [], {}
@@ -289,7 +285,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
         fv = net.coupling(s)
         key = (s.real, abs(s.imag))
         if key not in solved:
-            T = _transfer(rows, s, row, fv, L)
+            T = _transfer(s, row, fv, L)
             # T's last use is the second _norm2, which overwrites it
             solved[key] = (_norm2(T - gbar / n), _norm2(T) if t_norm else None)
         measured, t = solved[key]
@@ -312,13 +308,11 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
 
 
 def eval_T(net: NetworkModel, s: complex) -> np.ndarray:
-    """Closed-loop transfer matrix T(s) by direct linear solve.
+    """Closed-loop transfer matrix T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1}.
 
-    Primary route inverts diag{g_i^{-1}(s)} + f(s)L; when some g_i(s) = 0
-    (g_i^{-1} infinite there) it falls back to (I + G f L)^{-1} G.
+    Where some g_i(s) = 0 it is the limit of that inverse: column i is 0.
     """
-    rows = net._rows
-    return _transfer(rows, s, _node_inverses(*rows, [s])[0], net.coupling(s),
+    return _transfer(s, _node_inverses(*net._rows, [s])[0], net.coupling(s),
                      net.laplacian.entries)
 
 
@@ -469,11 +463,3 @@ def homogeneous_decomposition_check(g: RationalFunction, f: RationalFunction,
     rhs = coherent + Vp @ np.diag(modes) @ Vp.T
     return float(np.max(np.abs(T - rhs)))
 
-
-def nodal_multiplicity(net: NetworkModel, s0: complex, tol: float = 1e-7) -> int:
-    """Number of nodes whose transfer function has a zero at s0."""
-    count = 0
-    for g in net.nodes:
-        if g.num.degree >= 1 and any(abs(z - s0) < tol for z in g.zeros()):
-            count += 1
-    return count

@@ -331,10 +331,6 @@ class RationalFunction:
         scale = math.lcm(*(c.denominator for c in self.num.coeffs + self.den.coeffs))
         nums = [int(c * scale) for c in self.num.coeffs]
         dens = [int(c * scale) for c in self.den.coeffs]
-        content = math.gcd(*nums, *dens)
-        if content > 1:
-            nums = [v // content for v in nums]
-            dens = [v // content for v in dens]
         if all(abs(v) < 10**9 for v in nums + dens):
             return f"num={nums}, den={dens}"
         return f"num={self.num.coeffs_float()}, den={self.den.coeffs_float()}"

@@ -243,7 +243,7 @@ def stability_check(model: StateSpaceModel,
         if abs(lam) < _MARGINAL_TOL and not _pbh_in_y_path(model, lam):
             continue
         relevant.append(lam)
-    max_re = max((l.real for l in relevant), default=-math.inf)
+    max_re = float(max((l.real for l in relevant), default=-math.inf))
     stable = max_re < -_MARGINAL_TOL
     gamma = None
     for s in [] if freq_grid is None else freq_grid.points():
@@ -252,7 +252,7 @@ def stability_check(model: StateSpaceModel,
         except np.linalg.LinAlgError:  # s I - A is singular
             raise SingularAtSError(f"s={s} is a pole of the model") from None
         gamma = norm if gamma is None else max(gamma, norm)
-    return StabilityCertificate(stable=stable, max_re_eigenvalue=float(max_re),
+    return StabilityCertificate(stable=stable, max_re_eigenvalue=max_re,
                                 gamma_hinf=gamma)
 
 

@@ -549,6 +549,13 @@ class TestErrorsAndReproducibility:
             "num": [1], "den": [0]})}, 2, "config"),
         ("analyze", {"net": dict(SWING_NET, coupling={
             "num": [1], "den": []})}, 2, "config"),
+        ("analyze", {"net": dict(SWING_NET, laplacian={"file": "absent.txt"})},
+         2, "config"),
+        ("analyze", {"net": dict(SWING_NET, laplacian={"weight": 2.0})}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "lognormal", "lo": 1, "hi": 2},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -565,7 +572,8 @@ class TestErrorsAndReproducibility:
             "freqdep-not-integrator", "null-alphas", "zero-alphas",
             "null-shape", "null-inertias", "bool-coefficient",
             "zero-node-den", "empty-node-den", "zero-coupling-den",
-            "empty-coupling-den"])
+            "empty-coupling-den", "missing-laplacian-file", "laplacian-without-source",
+            "unknown-distribution-kind"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd

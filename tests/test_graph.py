@@ -155,6 +155,15 @@ class TestInvariants:
             warnings.simplefilter("error")
             assert L.scale(2.0).zero_multiplicity == 2
 
+    @pytest.mark.parametrize("entries, message", [
+        (np.zeros((2, 3)), "^Laplacian must be a square matrix of order >= 1$"),
+        ([[1.0, -1.0], [-0.5, 0.5]], "^Laplacian must be symmetric$"),
+        ([[1.0, -0.5], [-0.5, 1.0]], "^Laplacian rows must sum to zero$"),
+    ], ids=["non-square", "asymmetric", "nonzero-row-sums"])
+    def test_bad_matrix_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            LaplacianMatrix(entries)
+
     def test_negative_eigenvalue_is_not_psd(self):
         # rows sum to zero, eigenvalues -sqrt(3), 0, sqrt(3)
         with warnings.catch_warnings():
@@ -224,6 +233,16 @@ def _spectrum_before(entries):
 
 
 class TestEdgeListFile(object):
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n", "^malformed edge line '0 1'$"),
+        ("# no edges\n", "^empty edge list and no n= header$"),
+    ], ids=["malformed-line", "empty-without-header"])
+    def test_bad_file_rejected(self, tmp_path, text, message):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_edge_list(p)
+
     def test_parse_with_comments_and_header(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("# a triangle plus isolated node\nn=4\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")

@@ -36,7 +36,6 @@ from netcoh.netfreq import (
     incoherence,
     lemma_bound,
     loglog_slope,
-    nodal_multiplicity,
     pole_approach_sweep,
     sweep_region,
     transfer_norm_sweep,
@@ -118,6 +117,19 @@ class TestEvalT:
         net = random_swing_net(rng, 5, "ring")
         T = eval_T(net, 0.3 + 1.1j)
         assert np.max(np.abs(T - T.T)) < 1e-10
+
+
+@pytest.mark.parametrize("nodes, coupling, laplacian, message", [
+    ([swing(1, 1)], ONE, zero_laplacian(1), "^a network needs at least 2 nodes$"),
+    ([swing(1, 1)] * 2, ONE, builder("path", 3), "^2 nodes but Laplacian of order 3$"),
+    ([RF([0, 0, 1], [1, 1]), swing(1, 1)], ONE, builder("path", 2),
+     "^node dynamics .* is improper$"),
+    ([swing(1, 1)] * 2, RF([0, 1], [1]), builder("path", 2),
+     "^coupling dynamics .* is improper$"),
+], ids=["one-node", "count-mismatch", "improper-node", "improper-coupling"])
+def test_network_model_rejects_bad_input(nodes, coupling, laplacian, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkModel(nodes, coupling, laplacian)
 
 
 class TestCoherentDynamics:
@@ -441,23 +453,6 @@ class TestDecomposition:
         ) <= 1e-12
 
 
-class TestNodalMultiplicity:
-    def test_single_zero(self):
-        net = NetworkModel([RF([1, 1], [2, 1]), RF([1], [3, 1])], ONE,
-                           builder("path", 2))
-        assert nodal_multiplicity(net, -1.0) == 1
-
-    def test_shared_zero(self):
-        net = NetworkModel([RF([1, 1], [2, 1]), RF([1, 1], [3, 1])], ONE,
-                           builder("path", 2))
-        assert nodal_multiplicity(net, -1.0) == 2
-
-    def test_no_zero(self):
-        net = NetworkModel([RF([1, 1], [2, 1]), RF([1], [3, 1])], ONE,
-                           builder("path", 2))
-        assert nodal_multiplicity(net, 5.0) == 0
-
-
 class TestAggregateDynamics:
     def test_swing_closed_form(self):
         net = NetworkModel([swing(1, 3), swing(2, 4)], ONE, builder("path", 2))
@@ -523,8 +518,11 @@ def _kernel_net(seed, f):
     return NetworkModel(nodes, f, builder("ring", 6, rng.uniform(0.5, 2.0)))
 
 
+NODE_ZERO_SEGMENT = FrequencyRegion("vertical_segment", -0.5, (-1, 1), 9)
 KERNEL_GRIDS = {
-    "segment-node-zero": (FrequencyRegion("vertical_segment", -0.5, (-1, 1), 9), ONE),
+    "segment-node-zero": (NODE_ZERO_SEGMENT, ONE),
+    "segment-node-zero-integrator": (NODE_ZERO_SEGMENT, INTEGRATOR),
+    "segment-node-zero-lag": (NODE_ZERO_SEGMENT, RF([1], [1, 0.5])),
     "rect": (FrequencyRegion("rect_grid", 0.4, (0.2, 1.2), 5), ONE),
     "rect-integrator": (FrequencyRegion("rect_grid", 0.4, (0.2, 1.2), 5), INTEGRATOR),
     "segment-integrator": (FrequencyRegion("vertical_segment", 0.1, (-1, 1), 8),
@@ -539,8 +537,9 @@ class TestGridKernel:
         region, f = KERNEL_GRIDS[grid]
         net = _kernel_net(seed, f)
         pts = region.points()
-        if grid == "segment-node-zero":
+        if grid.startswith("segment-node-zero"):
             assert -0.5 + 0j in pts
+            assert np.all(eval_T(net, -0.5)[:, 5] == 0)  # node 5 vanishes there
         gbar = net.gbar
         want = np.array([[np.linalg.norm(_oracle_T(net, s) - c * np.ones((6, 6)), 2)
                           for c in (0, gbar(s) / net.n)] for s in pts])
@@ -801,6 +800,16 @@ class TestRegionPoints:
         with pytest.raises(ValueError, match="^omega_range width must be a finite"):
             FrequencyRegion("vertical_segment", 0.0, (-1e308, 1e308), 3)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "disk"}, "^unknown region kind 'disk'$"),
+        ({"resolution": 1}, "^resolution must be >= 2$"),
+        ({"omega_range": (1.0, 1.0)}, "^omega_range must be increasing$"),
+        ({"omega_range": (1.0, -1.0)}, "^omega_range must be increasing$"),
+    ])
+    def test_bad_region_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FrequencyRegion(**kwargs)
+
     @pytest.mark.parametrize("w", [(-1.0, 1.0), (-1.3, 1.2), (0.1, 1.0),
                                    (-3.0, -1.0), (-1.0, 2.0)])
     def test_asymmetric_or_mirrored_range_is_linspace(self, w):
@@ -878,7 +887,7 @@ class TestConjugateReuse:
         fallbacks = []
         real = netfreq._transfer
         monkeypatch.setattr(netfreq, "_transfer", lambda *a: fallbacks.append(
-            not np.isfinite(a[2]).all()) or real(*a))
+            not np.isfinite(a[1]).all()) or real(*a))
         reports, t_norms = transfer_norm_sweep(net, region)
         monkeypatch.undo()
         assert sum(fallbacks) == 1  # the fallback, once for the pair
@@ -896,7 +905,7 @@ class TestConjugateReuse:
         solved = []
         real = netfreq._transfer
         monkeypatch.setattr(netfreq, "_transfer",
-                            lambda *a: solved.append(a[1]) or real(*a))
+                            lambda *a: solved.append(a[0]) or real(*a))
         net = NetworkModel([swing(1 + k % 3, 1 + k % 2) for k in range(50)], ONE,
                            builder("ring", 50))
         reports, t_norms = transfer_norm_sweep(net, region)

@@ -419,12 +419,12 @@ class TestCoi:
 class TestStability:
     def test_stable_first_order(self):
         cert = stability_check(RF([1], [1, 1]).to_state_space())
-        assert cert.stable
+        assert cert.stable and type(cert.stable) is bool
         assert cert.max_re_eigenvalue == pytest.approx(-1.0)
 
     def test_unstable_detected(self):
         cert = stability_check(RF([1], [-2, 1]).to_state_space())
-        assert not cert.stable
+        assert not cert.stable and type(cert.stable) is bool
         assert cert.max_re_eigenvalue == pytest.approx(2.0)
 
     def test_marginal_integrator_mode_excluded(self):
@@ -434,7 +434,7 @@ class TestStability:
                            builder("path", 2))
         model = assemble_closed_loop(net)
         cert = stability_check(model)
-        assert cert.stable
+        assert cert.stable and type(cert.stable) is bool
         assert cert.max_re_eigenvalue < 0
 
     def test_hinf_gamma_bounds_grid(self):
