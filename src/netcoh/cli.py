@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -93,16 +92,14 @@ def _build_rational(obj: dict) -> RationalFunction:
 
 
 def _build_laplacian(obj: dict, config_dir: Path) -> graph.LaplacianMatrix:
-    with warnings.catch_warnings():  # lambda2 and DisconnectedError report it
-        warnings.simplefilter("ignore", graph.DisconnectedWarning)
-        if "file" in obj:
-            path = config_dir / _get(obj, "file", str)  # an absolute path stays
-            if not path.exists():
-                raise ConfigError(f"laplacian file {path} does not exist")
-            return graph.read_edge_list(path)
-        if "builder" in obj:
-            b = _get(obj, "builder", dict)
-            return graph.builder(b.get("kind"), b.get("n"), **_present(b, "weight"))
+    if "file" in obj:
+        path = config_dir / _get(obj, "file", str)  # an absolute path stays
+        if not path.exists():
+            raise ConfigError(f"laplacian file {path} does not exist")
+        return graph.read_edge_list(path)
+    if "builder" in obj:
+        b = _get(obj, "builder", dict)
+        return graph.builder(b.get("kind"), b.get("n"), **_present(b, "weight"))
     raise ConfigError("laplacian needs 'file' or 'builder'")
 
 
@@ -156,7 +153,9 @@ _cell = {float: repr, int: repr, type(None): lambda v: "",  # exact types only
 
 
 def _write_text(path: Path, chunks) -> None:
-    """Streams chunks to .<name>.tmp beside path, then moves it onto path."""
+    """Streams chunks to .<name>.tmp beside path, then moves it onto path;
+    the directory is made here, so a run that fails before writing makes none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with tmp.open("w") as f:
@@ -299,7 +298,6 @@ def run(command: str, config_path: str, seed: int | None = None,
             seed = _get(cfg, "seed", int, 0)
         out_dir = Path(out if out is not None
                        else _get(cfg, "output_dir", str, "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
         config_dir = Path(config_path).resolve().parent
         artifacts = _COMMANDS[command](cfg, digest, seed, out_dir, config_dir)
     except ConfigError as exc:

@@ -9,7 +9,6 @@ disconnected.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,9 @@ __all__ = [
     "from_edge_list",
     "builder",
     "read_edge_list",
-    "DisconnectedWarning",
 ]
 
 ZERO_CLUSTER_REL = 1e-10
-
-
-class DisconnectedWarning(UserWarning):
-    """The zero eigenvalue has multiplicity > 1: the graph is disconnected."""
 
 
 def _spectrum(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,21 +70,13 @@ class LaplacianMatrix:
                 raise ValueError("Laplacian must be symmetric")
             if np.linalg.norm(entries @ np.ones(n)) > 1e-10 * norm:
                 raise ValueError("Laplacian rows must sum to zero")
-        computed = eigenvalues is None or eigenvectors is None
-        if computed:
+        if eigenvalues is None or eigenvectors is None:
             eigenvalues, eigenvectors = _spectrum(entries)
         if eigenvalues[0] < 0:  # a negative eigenvalue outside the zero cluster
             raise ValueError("Laplacian is not positive semidefinite")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "eigenvalues", np.asarray(eigenvalues, float))
         object.__setattr__(self, "eigenvectors", np.asarray(eigenvectors, float))
-        if computed and self.zero_multiplicity > 1:
-            warnings.warn(
-                "zero eigenvalue has multiplicity "
-                f"{self.zero_multiplicity}: graph is disconnected",
-                DisconnectedWarning,
-                stacklevel=2,
-            )
 
     @property
     def n(self) -> int:

@@ -90,12 +90,6 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial([])
@@ -273,11 +267,6 @@ class RationalFunction:
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
         )
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":

@@ -72,11 +72,6 @@ class InputSignal:
                     np.array([1.0, 0.0]))
         return np.diag([0.0, -a]), np.ones(2), np.array([1.0, -1.0])
 
-    def __call__(self, t: float) -> np.ndarray:
-        """u(t) for t >= 0, from the generator."""
-        A_w, w0, c = self.generator()
-        return float(c @ _expm(A_w * t) @ w0) * self.shape
-
 
 def default_shape(n: int) -> np.ndarray:
     """Input shape -1 at the second node (the first when n = 1), 0 elsewhere."""
@@ -150,8 +145,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def simulate(model: StateSpaceModel, input_signal: InputSignal,
-             t_end: float, dt: float | None = None) -> SimulationResult:
-    """Sample the response of x' = Ax + Bu(t) from zero state every dt.
+             t_end: float, dt: float) -> SimulationResult:
+    """Sample the response of x' = Ax + Bu(t) from zero state at the
+    sampling interval dt, up to t_end.
 
     The input generator w' = A_w w is appended to the state, z = [x; w], so
     z(t + dt) = Phi z(t) with Phi = expm(A_aug dt), exact up to rounding and
@@ -159,14 +155,13 @@ def simulate(model: StateSpaceModel, input_signal: InputSignal,
     one product of the stacked C_aug Phi^j with all block-start states.
     """
     A, B, C, D = model.A, model.B, model.C, model.D
-    eigs = np.linalg.eigvals(A) if model.order else np.array([0.0])
-    if model.order and np.max(eigs.real) > _UNSTABLE_TOL:
-        raise UnstableModelError(
-            f"state matrix has eigenvalue with Re = {np.max(eigs.real):.3g}"
-        )
-    if dt is None:
-        fastest = np.max(np.abs(eigs)) if model.order else 0.0
-        dt = min(1e-2, 0.1 / fastest) if fastest > 0 else 1e-2
+    if len(input_signal.shape) != B.shape[1]:
+        raise LengthMismatchError(
+            f"input shape has {len(input_signal.shape)} entries for "
+            f"{B.shape[1]} inputs")
+    max_re = np.linalg.eigvals(A).real.max(initial=-math.inf)
+    if max_re > _UNSTABLE_TOL:
+        raise UnstableModelError(f"state matrix has eigenvalue with Re = {max_re:.3g}")
     if dt <= 0 or t_end <= dt:
         raise ValueError("need dt > 0 and t_end > dt")
 
@@ -212,6 +207,8 @@ def _inertia_weights(inertias, n: int) -> np.ndarray:
     m = np.asarray(inertias, float)
     if m.shape[0] != n:
         raise LengthMismatchError(f"{m.shape[0]} inertias for {n} nodes")
+    if not np.all(m > 0):
+        raise ValueError(f"inertias must be positive, got {m.tolist()}")
     return m
 
 
@@ -234,12 +231,8 @@ def stability_check(model: StateSpaceModel,
     Marginal integrator modes (|lambda| < 1e-9) are excluded when a PBH test
     shows them uncontrollable or unobservable in the y-path.
     """
-    if model.order == 0:
-        eigs = np.array([])
-    else:
-        eigs = np.linalg.eigvals(model.A)
     relevant = []
-    for lam in eigs:
+    for lam in np.linalg.eigvals(model.A):
         if abs(lam) < _MARGINAL_TOL and not _pbh_in_y_path(model, lam):
             continue
         relevant.append(lam)
@@ -261,7 +254,7 @@ def coherence_experiment(net: NetworkModel, input_signal: InputSignal,
                          inertias=None) -> SimulationResult:
     """Simulate the closed loop and attach the coherent (and COI) references."""
     if inertias is not None:
-        _inertia_weights(inertias, net.n)  # a wrong length fails before simulating
+        _inertia_weights(inertias, net.n)  # bad inertias fail before simulating
     res = _split(simulate(coherence_realization(net), input_signal, t_end, dt))
     return res if inertias is None else replace(res, coi_output=coi_frequency(res, inertias))
 

@@ -388,7 +388,7 @@ class TestAggregate:
         out = tmp_path / "out"
         assert run("aggregate", write_cfg(tmp_path, cfg), out=str(out)) == 3
         assert capsys.readouterr().err.startswith("error: kind=SingularAtS detail=")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_one_exact_sum(self, tmp_path, exact_sums):
         cfg = {"net": SWING_NET, "region": {"resolution": 3}}
@@ -556,6 +556,12 @@ class TestErrorsAndReproducibility:
             "m": {"kind": "lognormal", "lo": 1, "hi": 2},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {
+            "t_end": 1.0, "inertias": [1.0, -1.0, 0.0]}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {"t_end": 1.0},
+                      "input": {"shape": [1.0, 0.0]}}, 3, "LengthMismatch"),
+        ("freqdep", {"net": INTEGRATOR_NET, "simulate": {"t_end": 1.0},
+                     "input": {"shape": [1.0, 0.0]}}, 3, "LengthMismatch"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -573,7 +579,8 @@ class TestErrorsAndReproducibility:
             "null-shape", "null-inertias", "bool-coefficient",
             "zero-node-den", "empty-node-den", "zero-coupling-den",
             "empty-coupling-den", "missing-laplacian-file", "laplacian-without-source",
-            "unknown-distribution-kind"])
+            "unknown-distribution-kind", "non-positive-inertias", "shape-count",
+            "freqdep-shape-count"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd
@@ -583,6 +590,22 @@ class TestErrorsAndReproducibility:
         err = capsys.readouterr().err
         assert err.startswith(f"error: kind={kind} detail=")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("analyze", {"net": dict(SWING_NET, laplacian={"file": "absent.txt"})}),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "lognormal", "lo": 1, "hi": 2},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}),
+        ("simulate", {"net": SWING_NET, "simulate": {
+            "t_end": 1.0, "inertias": [1.0, 0.0, 1.0]}}),
+    ], ids=["missing-laplacian-file", "unknown-distribution-kind", "zero-inertia"])
+    def test_config_error_makes_no_out_directory(self, tmp_path, capsys,
+                                                 command, cfg):
+        out = tmp_path / "out"
+        assert run(command, write_cfg(tmp_path, cfg), out=str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: kind=config detail=")
+        assert not out.exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         cfg = {"ensemble": CONCENTRATE_ENSEMBLE,
@@ -705,6 +728,7 @@ def _write_csv_before_streaming(path, header, rows, provenance):
     lines.append(header)
     for row in rows:
         lines.append(",".join(_fmt_before_cell_table(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -12,7 +12,6 @@ from netcoh.errors import (
     TooFewNodesError,
 )
 from netcoh.graph import (
-    DisconnectedWarning,
     LaplacianMatrix,
     builder,
     from_edge_list,
@@ -139,17 +138,19 @@ class TestInvariants:
             connected = len({find(i) for i in range(n)}) == 1
             if not edges:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DisconnectedWarning)
-                L = from_edge_list(edges, n)
+            L = from_edge_list(edges, n)
             assert (L.lambda2 > 0) == connected
 
     def test_disconnected_warning(self):
-        with pytest.warns(DisconnectedWarning):
-            from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
+        # no warning: lambda_2 = 0 exactly is the report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
+        assert (L.lambda2, L.zero_multiplicity) == (0.0, 2)
 
     def test_scaled_copy_does_not_warn_again(self):
-        with pytest.warns(DisconnectedWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             L = from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -191,7 +192,8 @@ class TestZeroCluster:
         rng = np.random.default_rng(len(sizes))
         for _ in range(20):
             edges, n = _components(rng, sizes)
-            with pytest.warns(DisconnectedWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 L = from_edge_list(edges, n)
             V, lam = L.eigenvectors, L.eigenvalues
             assert np.array_equal(lam[:len(sizes)], np.zeros(len(sizes)))
@@ -246,9 +248,7 @@ class TestEdgeListFile(object):
     def test_parse_with_comments_and_header(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("# a triangle plus isolated node\nn=4\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedWarning)
-            L = read_edge_list(p)
+        L = read_edge_list(p)
         assert L.n == 4
         assert L.entries[0, 1] == -1.0
 

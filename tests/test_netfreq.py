@@ -23,7 +23,7 @@ from netcoh.errors import (
     RegionContainsSingularityError,
     SingularAtSError,
 )
-from netcoh.graph import DisconnectedWarning, builder, from_edge_list
+from netcoh.graph import LaplacianMatrix, builder, from_edge_list
 from netcoh.netfreq import (
     FrequencyRegion,
     NetworkModel,
@@ -52,13 +52,7 @@ def swing(m, d):
 
 
 def zero_laplacian(n):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedWarning)
-        from netcoh.graph import LaplacianMatrix
-
-        return LaplacianMatrix(np.zeros((n, n)))
+    return LaplacianMatrix(np.zeros((n, n)))
 
 
 def random_swing_net(rng, n, topology="complete", f=ONE):
@@ -396,7 +390,8 @@ class TestPoleApproach:
 
     def test_two_weighted_components_rejected(self):
         # eigh puts lambda_2 of this graph at about 1e-17, not at 0
-        with pytest.warns(DisconnectedWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             L = from_edge_list([(0, 1, 0.3), (2, 3, 0.3), (3, 4, 0.3)], 5)
         nodes = [swing(1, 1), swing(2, 2), swing(1.2, 1.5), swing(2, 1), swing(1.5, 0.8)]
         with pytest.raises(DisconnectedError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from netcoh.errors import (
     SingularAtSError,
     UnstableModelError,
 )
-from netcoh.graph import DisconnectedWarning, builder, from_edge_list
+from netcoh.graph import builder, from_edge_list
 from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
 from netcoh.ratfun import StateSpaceModel
@@ -41,21 +42,6 @@ def swing(m, d):
 
 
 class TestInputSignal:
-    def test_step(self):
-        sig = InputSignal("step", [2.0, -1.0])
-        assert sig(0.0) == pytest.approx(np.array([2.0, -1.0]))
-        assert sig(5.0) == pytest.approx(np.array([2.0, -1.0]))
-
-    def test_sinusoid(self):
-        sig = InputSignal("sinusoid", [1.0], alpha=2.0)
-        assert sig(0.0) == pytest.approx(np.array([0.0]))
-        assert sig(math.pi / 4) == pytest.approx(np.array([1.0]))
-
-    def test_exp_approach(self):
-        sig = InputSignal("exp_approach", [3.0], alpha=1.0)
-        assert sig(0.0) == pytest.approx(np.array([0.0]))
-        assert sig(1.0) == pytest.approx(np.array([3.0 * (1 - math.e ** -1)]))
-
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             InputSignal("ramp", [1.0])
@@ -150,10 +136,23 @@ class TestSimulate:
             simulate(RF([1], den).to_state_space(), InputSignal("step", [1.0]),
                      t_end, dt=dt)
 
-    def test_default_dt_respects_fastest_mode(self):
-        ss = RF([1], [100, 1]).to_state_space()
-        res = simulate(ss, InputSignal("step", [1.0]), 0.5)
-        assert res.times[1] <= 0.1 / 100 + 1e-15
+    def test_shape_length_refused_before_discretizing(self, monkeypatch):
+        def no_expm(a):
+            raise AssertionError("discretized a refused input")
+
+        monkeypatch.setattr(timedomain, "_expm", no_expm)
+        with pytest.raises(LengthMismatchError,
+                           match="^input shape has 2 entries for 1 inputs$"):
+            simulate(RF([1], [1, 1]).to_state_space(), InputSignal("step", [1.0, 0.0]),
+                     1.0, dt=0.1)
+
+    def test_static_model(self):
+        ss = RF([2], [1]).to_state_space()
+        assert ss.order == 0
+        cert = stability_check(ss)
+        assert cert.stable and cert.max_re_eigenvalue == -math.inf
+        res = simulate(ss, InputSignal("step", [1.0]), 1.0, dt=0.25)
+        assert res.node_outputs.tolist() == [[2.0] * 5]
 
 
 class TestExpm:
@@ -405,6 +404,19 @@ class TestCoi:
             coherence_experiment(net, InputSignal("step", [1.0, 0.0, 0.0]),
                                  1.0, 0.1, inertias=[1.0, 2.0])
 
+    @pytest.mark.parametrize("inertias", [[1.0, -1.0, 0.0], [1.0, 0.0, 2.0],
+                                          [1.0, math.nan, 1.0]])
+    def test_non_positive_checked_before_simulating(self, monkeypatch, inertias):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulated before checking inertias")
+
+        monkeypatch.setattr(timedomain, "simulate", no_simulate)
+        net = NetworkModel([swing(1, 1), swing(2, 1.5), swing(1.2, 0.7)],
+                           ONE, builder("complete", 3))
+        with pytest.raises(ValueError, match="^inertias must be positive"):
+            coherence_experiment(net, InputSignal("step", [1.0, 0.0, 0.0]),
+                                 1.0, 0.1, inertias=inertias)
+
     def test_coi_tracks_reference_in_swing_network(self):
         ms = [1.0, 2.0, 1.5]
         net = NetworkModel([swing(m, 1.0) for m in ms], INTEGRATOR,
@@ -489,7 +501,8 @@ class TestFrequencyDependence:
             frequency_dependence_experiment(net, [0.1], 10.0, 1e-2)
 
     def test_requires_connected_network(self):
-        with pytest.warns(DisconnectedWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             lap = from_edge_list([(0, 1, 1.0)], 3)
         net = NetworkModel([swing(1, 1), swing(2, 1.5), swing(1, 2)],
                            INTEGRATOR, lap)
