@@ -23,7 +23,6 @@ from .netfreq import (  # noqa: F401
     IncoherenceReport,
     NetworkModel,
     aggregate_dynamics,
-    coherent_dynamics,
     connectivity_sweep,
     eval_T,
     incoherence,

@@ -148,16 +148,23 @@ class EnsembleSpec:
         if self.seed < 0:
             raise InvalidDistributionError(f"seed must be non-negative, got {self.seed}")
         if self.family in _FAMILY_PARAMS:
-            missing = [p for p in _FAMILY_PARAMS[self.family]
-                       if p not in self.params]
+            used = _FAMILY_PARAMS[self.family]
+            missing = [p for p in used if p not in self.params]
             if missing:
                 raise InvalidDistributionError(
                     f"{self.family} family needs parameters {missing}"
                 )
         elif self.family == "custom_coeffs":
-            self._coeff_names()
+            num, den = self._coeff_names()
+            used = num + den
         else:
             raise InvalidDistributionError(f"unknown family {self.family!r}")
+        # a named family would ignore an unused key; custom_coeffs would draw
+        # it from the nodes' stream (param_names()), shifting the used draws
+        unused = sorted(set(self.params) - set(used))
+        if unused:
+            raise InvalidDistributionError(
+                f"{self.family} family does not use parameters {unused}")
 
     def param_names(self) -> list[str]:
         if self.family in _FAMILY_PARAMS:

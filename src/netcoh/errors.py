@@ -18,34 +18,8 @@ class ZeroFunctionError(NetcohError):
     """Reciprocal (or harmonic mean) of an identically-zero function."""
 
 
-class DegreeZeroError(NetcohError):
-    """Root finding requested for a constant polynomial."""
-
-
 class ImproperError(NetcohError):
     """A proper transfer function was required (deg num <= deg den)."""
-
-
-# --- graph construction ---
-
-class SelfLoopError(NetcohError):
-    pass
-
-
-class NonPositiveWeightError(NetcohError):
-    pass
-
-
-class NodeOutOfRangeError(NetcohError):
-    pass
-
-
-class TooFewNodesError(NetcohError):
-    pass
-
-
-class NonPositiveAlphaError(NetcohError):
-    pass
 
 
 # --- frequency-domain analysis ---

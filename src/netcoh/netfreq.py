@@ -29,15 +29,14 @@ from .errors import (
     require_number,
 )
 from .graph import LaplacianMatrix
-from .ratfun import (_COND_LIMIT, INFINITY, RationalFunction, StateSpaceModel,
-                     _guarded_inverse, harmonic_mean, harmonic_realization)
+from .ratfun import (INFINITY, RationalFunction, StateSpaceModel, _guarded_inverse,
+                     harmonic_mean, harmonic_realization)
 
 __all__ = [
     "NetworkModel",
     "FrequencyRegion",
     "IncoherenceReport",
     "eval_T",
-    "coherent_dynamics",
     "aggregate_dynamics",
     "incoherence",
     "lemma_bound",
@@ -121,7 +120,8 @@ class FrequencyRegion:
     """Sampling grid standing in for a compact region of the complex plane.
 
     vertical_segment: s = sigma + j*omega, omega on [omega_min, omega_max].
-    rect_grid: Re(s) on [0, sigma] x same omega range, resolution per axis.
+    rect_grid: Re(s) on [0, sigma] x same omega range, resolution per axis;
+    sigma must be nonzero.
     """
 
     kind: str = "vertical_segment"
@@ -133,6 +133,9 @@ class FrequencyRegion:
         if self.kind not in ("vertical_segment", "rect_grid"):
             raise ValueError(f"unknown region kind {self.kind!r}")
         require_number("sigma", self.sigma)
+        if self.kind == "rect_grid" and self.sigma == 0:
+            raise ValueError("rect_grid needs sigma != 0: its Re s axis [0, sigma] "
+                             "would be one point")
         require_number("resolution", self.resolution, integer=True)
         w = self.omega_range
         if not isinstance(w, (tuple, list)) or len(w) != 2:
@@ -171,8 +174,6 @@ class IncoherenceReport:
     s: complex
     measured: float
     effective_connectivity: float
-    M1: float = math.nan
-    M2: float = math.nan
     bound: float | None = None
     bound_valid: bool = False
 
@@ -303,7 +304,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
         threshold = M2 + M1 * M2 * M2
         valid = eff > threshold
         bound = (M1 * M2 + 1.0) ** 2 / (eff - threshold) if valid else None
-        reports.append(IncoherenceReport(s, measured, eff, M1, M2, bound, valid))
+        reports.append(IncoherenceReport(s, measured, eff, bound, valid))
     return reports, t_norms
 
 
@@ -314,11 +315,6 @@ def eval_T(net: NetworkModel, s: complex) -> np.ndarray:
     """
     return _transfer(s, _node_inverses(*net._rows, [s])[0], net.coupling(s),
                      net.laplacian.entries)
-
-
-def coherent_dynamics(net: NetworkModel) -> RationalFunction:
-    """gbar(s), the harmonic mean of the node dynamics."""
-    return net.gbar
 
 
 def aggregate_dynamics(net: NetworkModel) -> RationalFunction:
@@ -431,19 +427,16 @@ def loglog_slope(xs: list[float], ys: list[float]) -> float:
 
 
 def pole_approach_sweep(net: NetworkModel, pole_of_f: complex,
-                        radii: list[float], direction: complex = 1.0,
-                        ) -> list[tuple[float, float]]:
-    """Incoherence at s = pole_of_f + radius * direction for each radius > 0."""
+                        radii: list[float]) -> list[tuple[float, float]]:
+    """Incoherence at s = pole_of_f + radius for each radius > 0."""
     for r in radii:
         _require_positive("radius", r)
-    _require_positive("|direction|", abs(direction))
     if net.laplacian.lambda2 <= 0:
         raise DisconnectedError("pole approach requires lambda_2(L) > 0")
     f_poles = net.coupling.poles()
     if not any(abs(p - pole_of_f) < 1e-7 for p in f_poles):
         raise NotAPoleOfFError(f"{pole_of_f} is not a pole of the coupling")
-    d = direction / abs(direction)
-    reports, _ = _sweep(net, [pole_of_f + r * d for r in radii])
+    reports, _ = _sweep(net, [pole_of_f + r for r in radii])
     return [(float(r), rep.measured) for r, rep in zip(radii, reports)]
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     AlgebraicLoopSingularError,
-    DegreeZeroError,
     ImproperError,
     IndeterminateError,
     ZeroFunctionError,
@@ -180,9 +179,7 @@ def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def poly_roots(p: Polynomial) -> list[complex]:
     """All complex roots with multiplicity: the companion-matrix eigenvalues
     (np.roots), each then polished by at most two Newton steps.  A Newton
-    step longer than 1 keeps the current value."""
-    if p.degree < 1:
-        raise DegreeZeroError("root finding needs degree >= 1")
+    step longer than 1 keeps the current value.  A constant has none."""
     cs = np.array(p.coeffs_float())
     raw = np.roots(cs[::-1])
     dcs = cs[1:] * np.arange(1, len(cs))
@@ -269,9 +266,6 @@ class RationalFunction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
     def scale(self, k) -> "RationalFunction":
         if k == 0:
             return RationalFunction(self.num.scale(k), self.den)
@@ -323,17 +317,6 @@ class RationalFunction:
         if all(abs(v) < 10**9 for v in nums + dens):
             return f"num={nums}, den={dens}"
         return f"num={self.num.coeffs_float()}, den={self.den.coeffs_float()}"
-
-    @staticmethod
-    def parse(text: str) -> "RationalFunction":
-        import re
-
-        m = re.match(r"\s*num=\[(.*?)\]\s*,\s*den=\[(.*?)\]\s*$", text)
-        if m is None:
-            raise ValueError(f"cannot parse rational function from {text!r}")
-        num = [float(x) for x in m.group(1).split(",") if x.strip()]
-        den = [float(x) for x in m.group(2).split(",") if x.strip()]
-        return RationalFunction(num, den)
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.serialize()})"
@@ -438,10 +421,7 @@ class StateSpaceModel:
 
     def response(self, s: complex) -> np.ndarray:
         """Frequency response C(sI - A)^{-1}B + D."""
-        n = self.order
-        if n == 0:
-            return self.D.astype(complex)
-        X = np.linalg.solve(s * np.eye(n) - self.A, self.B.astype(complex))
+        X = np.linalg.solve(s * np.eye(self.order) - self.A, self.B.astype(complex))
         return self.C @ X + self.D
 
 

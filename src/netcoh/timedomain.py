@@ -1,4 +1,4 @@
-"""Closed-loop assembly, exact-discretization simulation, and deviation metrics.
+"""Closed-loop assembly, exact-discretization simulation, and coherence experiments.
 
 The feedback structure is y = G(u - f L y): each node realization is
 stacked block-diagonally, the coupling dynamics f is realized once per
@@ -35,7 +35,6 @@ __all__ = [
     "assemble_closed_loop",
     "simulate",
     "coherence_realization",
-    "deviation_metrics",
     "coi_frequency",
     "stability_check",
     "coherence_experiment",
@@ -91,7 +90,10 @@ class SimulationResult:
 
     @property
     def deviation_linf(self) -> float:
-        return deviation_metrics(self)[0]
+        """sup_t max_i |y_i - ybar|."""
+        if self.coherent_output is None:
+            raise MissingReferenceError("coherent reference output missing")
+        return float(np.max(np.abs(self.node_outputs - self.coherent_output)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,14 +189,6 @@ def simulate(model: StateSpaceModel, input_signal: InputSignal,
     ys = (np.vstack(powers) @ np.transpose(starts)).reshape(block, ny, -1)
     ys = ys.transpose(1, 2, 0).reshape(ny, -1)[:, :steps + 1]
     return SimulationResult(times=times, node_outputs=ys)
-
-
-def deviation_metrics(result: SimulationResult) -> tuple[float, np.ndarray]:
-    """Per-node sup_t |y_i - ybar| and the max over nodes."""
-    if result.coherent_output is None:
-        raise MissingReferenceError("coherent reference output missing")
-    per_node = np.max(np.abs(result.node_outputs - result.coherent_output), axis=1)
-    return float(np.max(per_node)), per_node
 
 
 def coi_frequency(result: SimulationResult, inertias) -> np.ndarray:

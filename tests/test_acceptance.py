@@ -21,7 +21,6 @@ from netcoh.netfreq import (
     FrequencyRegion,
     NetworkModel,
     aggregate_dynamics,
-    coherent_dynamics,
     connectivity_sweep,
     eval_T,
     homogeneous_decomposition_check,
@@ -79,7 +78,7 @@ def test_01_bound_soundness():
             n = int(rng.integers(2, 7))
             net = random_net(rng, n)
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-3.0, 3.0))
-            M1 = abs(coherent_dynamics(net)(s)) * rng.uniform(1.0, 1.5)
+            M1 = abs(net.gbar(s)) * rng.uniform(1.0, 1.5)
             M2 = max(abs(g.eval_inverse(s)) for g in net.nodes) \
                 * rng.uniform(1.0, 1.5)
             # scale coupling until the bound precondition holds
@@ -226,8 +225,7 @@ def test_10_passivity_uniform_gain():
             ))
         spread = (max(gammas) - min(gammas)) / min(gammas)
         assert spread < 0.05, f"gamma varies {spread:.3%}: {gammas}"
-        gbar = coherent_dynamics(NetworkModel(nodes, INTEGRATOR,
-                                              builder("complete", 4)))
+        gbar = NetworkModel(nodes, INTEGRATOR, builder("complete", 4)).gbar
         gbar_norm = max(abs(gbar(1j * w)) for w in omegas)
         for gamma in gammas:
             assert gbar_norm <= gamma + 1e-9, (gbar_norm, gamma)

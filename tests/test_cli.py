@@ -27,6 +27,13 @@ CONCENTRATE_ENSEMBLE = {
                "d": {"kind": "uniform", "lo": 1, "hi": 2}},
 }
 
+# edge lists that graph construction refuses with a ValueError
+BAD_EDGE_FILES = {
+    "self_loop.txt": "0 0 1.0\n0 1 1.0\n1 2 1.0\n",
+    "negative_weight.txt": "0 1 -1.0\n1 2 1.0\n",
+    "out_of_range.txt": "n=3\n0 1 1.0\n1 3 1.0\n",
+}
+
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -562,6 +569,15 @@ class TestErrorsAndReproducibility:
                       "input": {"shape": [1.0, 0.0]}}, 3, "LengthMismatch"),
         ("freqdep", {"net": INTEGRATOR_NET, "simulate": {"t_end": 1.0},
                      "input": {"shape": [1.0, 0.0]}}, 3, "LengthMismatch"),
+        *[("analyze", {"net": dict(SWING_NET, laplacian={"file": name})}, 2, "config")
+          for name in BAD_EDGE_FILES],
+        ("analyze", {"net": dict(SWING_NET, laplacian={
+            "builder": {"kind": "complete", "n": 1}})}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "sweep": {"alphas": [-0.1, 1]}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params=dict(
+            CONCENTRATE_ENSEMBLE["params"], tau={"kind": "uniform", "lo": 1, "hi": 2})),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("analyze", {"net": SWING_NET, "region": {"kind": "rect_grid"}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -580,11 +596,15 @@ class TestErrorsAndReproducibility:
             "zero-node-den", "empty-node-den", "zero-coupling-den",
             "empty-coupling-den", "missing-laplacian-file", "laplacian-without-source",
             "unknown-distribution-kind", "non-positive-inertias", "shape-count",
-            "freqdep-shape-count"])
+            "freqdep-shape-count", "self-loop-edge", "negative-edge-weight",
+            "edge-out-of-range", "builder-n-1", "analyze-negative-alpha",
+            "unused-ensemble-param", "rect-grid-zero-sigma"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd
         monkeypatch.chdir(tmp_path)
+        for name, text in BAD_EDGE_FILES.items():
+            (tmp_path / name).write_text(text)
         path = write_cfg(tmp_path, cfg)
         assert run(command, path) == code
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 import signal
 
 import numpy as np
@@ -114,6 +115,22 @@ class TestEnsembleSpec:
     def test_unknown_family(self):
         with pytest.raises(InvalidDistributionError):
             EnsembleSpec("lc_circuit", {})
+
+    @pytest.mark.parametrize("family, params, unused", [
+        ("swing", {"m": point(1.0), "d": point(1.0), "tau": uniform(1, 2)},
+         ["tau"]),
+        ("swing_turbine", {"m": point(1.0), "d": point(1.0), "r_inv": point(0.3),
+                           "tau": point(2.0), "k": point(1.0), "a": point(1.0)},
+         ["a", "k"]),
+        # drawn from the nodes' stream, aa would shift every used draw
+        ("custom_coeffs", {"num_0": point(1.0), "den_0": uniform(1, 2),
+                           "den_1": point(1.0), "aa": uniform(5, 6)}, ["aa"]),
+    ], ids=["swing", "swing_turbine", "custom_coeffs"])
+    def test_unused_parameter_rejected(self, family, params, unused):
+        with pytest.raises(InvalidDistributionError,
+                           match=f"^{family} family does not use parameters "
+                                 + re.escape(repr(unused)) + "$"):
+            EnsembleSpec(family, params)
 
     def test_swing_node_shape(self):
         spec = swing_spec()

@@ -4,13 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from netcoh.errors import (
-    NodeOutOfRangeError,
-    NonPositiveAlphaError,
-    NonPositiveWeightError,
-    SelfLoopError,
-    TooFewNodesError,
-)
 from netcoh.graph import (
     LaplacianMatrix,
     builder,
@@ -41,11 +34,11 @@ class TestFromEdgeList:
         assert L.entries[0, 1] == -3.0
 
     def test_errors(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(ValueError, match="^self loop at node 0$"):
             from_edge_list([(0, 0, 1.0)], 2)
-        with pytest.raises(NonPositiveWeightError):
+        with pytest.raises(ValueError, match=r"^edge \(0,1\) has weight 0\.0$"):
             from_edge_list([(0, 1, 0.0)], 2)
-        with pytest.raises(NodeOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^edge \(0,5\) outside 0\.\.1$"):
             from_edge_list([(0, 5, 1.0)], 2)
 
     @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
@@ -68,7 +61,7 @@ class TestBuilders:
         assert builder("path", 2, 3.0).lambda2 == pytest.approx(6.0)
 
     def test_too_few_nodes(self):
-        with pytest.raises(TooFewNodesError):
+        with pytest.raises(ValueError, match="^builder needs n >= 2, got 1$"):
             builder("ring", 1)
 
 
@@ -89,7 +82,7 @@ class TestScale:
         assert np.array_equal(ab.eigenvalues, direct.eigenvalues)
 
     def test_nonpositive_alpha(self):
-        with pytest.raises(NonPositiveAlphaError):
+        with pytest.raises(ValueError, match=r"^alpha must be positive, got 0\.0$"):
             builder("path", 2).scale(0.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True, "2"])
@@ -146,7 +139,7 @@ class TestInvariants:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             L = from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
-        assert (L.lambda2, L.zero_multiplicity) == (0.0, 2)
+        assert (L.lambda2, np.count_nonzero(L.eigenvalues == 0)) == (0.0, 2)
 
     def test_scaled_copy_does_not_warn_again(self):
         with warnings.catch_warnings():
@@ -154,7 +147,7 @@ class TestInvariants:
             L = from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert L.scale(2.0).zero_multiplicity == 2
+            assert np.count_nonzero(L.scale(2.0).eigenvalues == 0) == 2
 
     @pytest.mark.parametrize("entries, message", [
         (np.zeros((2, 3)), "^Laplacian must be a square matrix of order >= 1$"),
@@ -198,7 +191,7 @@ class TestZeroCluster:
             V, lam = L.eigenvectors, L.eigenvalues
             assert np.array_equal(lam[:len(sizes)], np.zeros(len(sizes)))
             assert np.all(lam[len(sizes):] > 0)
-            assert (L.lambda2, L.zero_multiplicity) == (0.0, len(sizes))
+            assert (L.lambda2, np.count_nonzero(L.eigenvalues == 0)) == (0.0, len(sizes))
             assert np.array_equal(V[:, 0], np.ones(n) / np.sqrt(n))
             assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-12
             assert np.abs(L.entries @ V - V * lam).max() <= 1e-12
