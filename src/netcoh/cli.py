@@ -2,12 +2,16 @@
 
 Commands: analyze, bound, simulate, freqdep, concentrate, aggregate.  Each
 maps config values, read through one typed reader (_get), to library calls
-and CSV; defaults, range checks and error kinds belong to the library.
+and CSV.  Range checks and error kinds belong to the library, and so do the
+defaults of the region and of a builder's weight; every other optional
+field (time span, dt, alphas, sizes, trials, epsilon, ensemble family,
+input, seed, output_dir) takes its default here, where it is read.
 Every CSV starts with #-prefixed provenance lines (tool version, config
 hash, seed) and identical (config, seed) runs reproduce outputs byte for
-byte.  Exit codes: 0 success, 2 config error (a missing or wrongly typed
-value, or any ValueError from an out-of-range one), 3 singularity or
-precondition error, 4 instability refusal, 5 I/O error.
+byte.  Exit codes: 0 success, 2 config error (any ValueError: a missing,
+wrongly typed or out-of-range value), 3 singularity or precondition error
+(a NetcohError, even one that is also a ValueError), 4 instability
+refusal (UnstableModelError), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -20,13 +24,8 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__, ensemble, graph, netfreq, timedomain
-from .errors import (
-    ConfigError,
-    DisconnectedError,
-    NetcohError,
-    UnstableModelError,
-    require_number,
-)
+from .errors import (DisconnectedError, NetcohError, UnstableModelError,
+                     require_number)
 from .netfreq import FrequencyRegion, NetworkModel
 from .ratfun import RationalFunction
 from .timedomain import InputSignal
@@ -42,11 +41,11 @@ def _load_config(path: str) -> tuple[dict, str]:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()[:16]
     return _check("config", cfg, dict), digest
 
@@ -65,7 +64,7 @@ def _get(obj: dict, key: str, kind, default=_REQUIRED):
     """
     if key not in obj:
         if default is _REQUIRED:
-            raise ConfigError(f"missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
         return default
     return _check(key, obj[key], kind)
 
@@ -77,7 +76,7 @@ def _check(name: str, value, kind):
     elif kind in (float, int):
         require_number(name, value, integer=kind is int)
     elif not isinstance(value, kind):
-        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -95,12 +94,12 @@ def _build_laplacian(obj: dict, config_dir: Path) -> graph.LaplacianMatrix:
     if "file" in obj:
         path = config_dir / _get(obj, "file", str)  # an absolute path stays
         if not path.exists():
-            raise ConfigError(f"laplacian file {path} does not exist")
+            raise ValueError(f"laplacian file {path} does not exist")
         return graph.read_edge_list(path)
     if "builder" in obj:
         b = _get(obj, "builder", dict)
         return graph.builder(b.get("kind"), b.get("n"), **_present(b, "weight"))
-    raise ConfigError("laplacian needs 'file' or 'builder'")
+    raise ValueError("laplacian needs 'file' or 'builder'")
 
 
 def _build_net(cfg: dict, config_dir: Path) -> NetworkModel:
@@ -135,13 +134,10 @@ def _build_ensemble(cfg: dict, seed: int) -> ensemble.EnsembleSpec:
     for name, d in _get(e, "params", dict, {}).items():
         kind = _get(_check(name, d, dict), "kind", str)
         if kind not in _DISTRIBUTIONS:
-            raise ConfigError(f"unknown distribution kind {kind!r}")
+            raise ValueError(f"unknown distribution kind {kind!r}")
         make, fields = _DISTRIBUTIONS[kind]
         params[name] = make(*(_get(d, f, float) for f in fields))
-    try:
-        return ensemble.EnsembleSpec(_get(e, "family", str, "swing"), params, seed)
-    except NetcohError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ensemble.EnsembleSpec(_get(e, "family", str, "swing"), params, seed)
 
 
 def _no_cell(v):
@@ -293,16 +289,13 @@ def run(command: str, config_path: str, seed: int | None = None,
     try:
         cfg, digest = _load_config(config_path)
         if command not in _COMMANDS:
-            raise ConfigError(f"unknown command {command!r}")
+            raise ValueError(f"unknown command {command!r}")
         if seed is None:
             seed = _get(cfg, "seed", int, 0)
         out_dir = Path(out if out is not None
                        else _get(cfg, "output_dir", str, "."))
         config_dir = Path(config_path).resolve().parent
         artifacts = _COMMANDS[command](cfg, digest, seed, out_dir, config_dir)
-    except ConfigError as exc:
-        print(f"error: kind=config detail={exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except UnstableModelError as exc:
         print(f"error: kind=UnstableModel detail={exc}", file=sys.stderr)
         return EXIT_UNSTABLE

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidDistributionError,
-    NotAffineError,
-    require_increasing,
-    require_number,
-)
+from .errors import NotAffineError, require_increasing, require_number
 from .graph import builder
 from .netfreq import (
     FrequencyRegion,
@@ -42,7 +37,6 @@ __all__ = [
     "ConcentrationResult",
     "sample_nodes",
     "expected_coherent",
-    "SampledCoherent",
     "concentration_experiment",
     "full_network_concentration",
 ]
@@ -61,13 +55,12 @@ class Distribution:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "normal", "point"):
-            raise InvalidDistributionError(f"unknown distribution {self.kind!r}")
+            raise ValueError(f"unknown distribution {self.kind!r}")
         if self.kind in ("uniform", "normal") and not self.lo < self.hi:
-            raise InvalidDistributionError(
-                f"truncation bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]"
-            )
+            raise ValueError("truncation bounds must satisfy lo < hi, "
+                             f"got [{self.lo}, {self.hi}]")
         if self.kind == "normal" and self.sd < 0:
-            raise InvalidDistributionError("sd must be non-negative")
+            raise ValueError("sd must be non-negative")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "point":
@@ -81,7 +74,7 @@ class Distribution:
         while have < size:  # rejection sampling keeps truncation exact
             rounds += 1
             if rounds > _MAX_REJECTION_ROUNDS:
-                raise InvalidDistributionError(
+                raise ValueError(
                     f"normal on [{self.lo}, {self.hi}]: {have}/{size} draws kept")
             draw = rng.normal(self.mu, self.sd, size - have)
             keep = draw[(draw >= self.lo) & (draw <= self.hi)]
@@ -100,10 +93,10 @@ class Distribution:
         a = (self.lo - self.mu) / self.sd
         b = (self.hi - self.mu) / self.sd
         phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        Phi = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
-        z = Phi(b) - Phi(a)
+        Phi = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))
+        z = Phi(-a) - Phi(-b) if a > 0 else Phi(b) - Phi(a)  # no tail cancellation
         if z <= 0:
-            raise InvalidDistributionError(f"zero mass on [{self.lo}, {self.hi}]")
+            raise ValueError(f"zero mass on [{self.lo}, {self.hi}]")
         return self.mu + self.sd * (phi(a) - phi(b)) / z
 
     @property
@@ -146,25 +139,22 @@ class EnsembleSpec:
     def __post_init__(self):
         require_number("seed", self.seed, integer=True)
         if self.seed < 0:
-            raise InvalidDistributionError(f"seed must be non-negative, got {self.seed}")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.family in _FAMILY_PARAMS:
             used = _FAMILY_PARAMS[self.family]
             missing = [p for p in used if p not in self.params]
             if missing:
-                raise InvalidDistributionError(
-                    f"{self.family} family needs parameters {missing}"
-                )
+                raise ValueError(f"{self.family} family needs parameters {missing}")
         elif self.family == "custom_coeffs":
             num, den = self._coeff_names()
             used = num + den
         else:
-            raise InvalidDistributionError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {self.family!r}")
         # a named family would ignore an unused key; custom_coeffs would draw
         # it from the nodes' stream (param_names()), shifting the used draws
         unused = sorted(set(self.params) - set(used))
         if unused:
-            raise InvalidDistributionError(
-                f"{self.family} family does not use parameters {unused}")
+            raise ValueError(f"{self.family} family does not use parameters {unused}")
 
     def param_names(self) -> list[str]:
         if self.family in _FAMILY_PARAMS:
@@ -178,7 +168,7 @@ class EnsembleSpec:
             names = sorted((k for k in self.params if k.startswith(prefix)),
                            key=lambda k: int(k[4:]) if k[4:].isdecimal() else -1)
             if not names or [k[4:] for k in names] != list(map(str, range(len(names)))):
-                raise InvalidDistributionError(
+                raise ValueError(
                     f"{prefix}k needs integers k = 0, 1, ... without gaps, got {names}")
             layout.append(names)
         return layout[0], layout[1]
@@ -200,10 +190,9 @@ def _coeff_rows(spec: EnsembleSpec, v: dict) -> tuple[np.ndarray, np.ndarray]:
         num, den = ([v[k] for k in names] for names in spec._coeff_names())
     num, den = np.column_stack(num), np.column_stack(den)
     if np.any(den[:, -1] <= 0):
-        raise InvalidDistributionError(
-            "node has non-positive leading denominator coefficient")
+        raise ValueError("node has non-positive leading denominator coefficient")
     if np.any(num[:, den.shape[1]:] != 0):
-        raise InvalidDistributionError("sampled node is improper")
+        raise ValueError("sampled node is improper")
     return num, den
 
 
@@ -224,33 +213,9 @@ def sample_nodes(spec: EnsembleSpec, n: int, stream_index: int = 0,
     return [RationalFunction(a, b) for a, b in zip(num.tolist(), den.tolist())]
 
 
-class SampledCoherent:
-    """Monte-Carlo estimate of the expected coherent dynamics.
-
-    Value at s is (1/M sum g^{-1}(s, w_k))^{-1} over M frozen draws, kept as
-    coefficient rows; s is one point or an array of points.
-    """
-
-    def __init__(self, num: np.ndarray, den: np.ndarray):
-        self.num, self.den, self.M = num, den, len(num)
-
-    def __call__(self, s):
-        vals = self.M / _inverse_sum(self.num, self.den, np.atleast_1d(s))
-        return vals if np.ndim(s) else complex(vals[0])
-
-
-def expected_coherent(spec: EnsembleSpec, method: str = "analytic_affine",
-                      mc_draws: int = 10_000, stream_index: int = 2**31 - 1):
-    """ghat(s) = (E g^{-1}(s, w))^{-1}.
-
-    analytic_affine requires g^{-1} affine in the random parameters and
-    returns an exact RationalFunction; monte_carlo returns a pointwise
-    SampledCoherent over mc_draws fresh draws.
-    """
-    if method == "monte_carlo":
-        return SampledCoherent(*_sample_coeffs(spec, mc_draws, stream_index))
-    if method != "analytic_affine":
-        raise ValueError(f"unknown method {method!r}")
+def expected_coherent(spec: EnsembleSpec) -> RationalFunction:
+    """ghat(s) = (E g^{-1}(s, w))^{-1}, exact; NotAffineError unless
+    g^{-1} is affine in the random parameters."""
     if spec.family == "swing_turbine" and not spec.params["tau"].is_point:
         raise NotAffineError("g^{-1} is not affine in a random turbine time constant")
     # custom_coeffs: affine iff the numerator is deterministic
@@ -279,13 +244,16 @@ class ConcentrationResult:
 
 
 def _ghat_on_grid(spec, region):
-    try:
-        ghat, certified = expected_coherent(spec, "analytic_affine"), True
-    except NotAffineError:
-        ghat, certified = expected_coherent(spec, "monte_carlo"), False
+    """Grid points, ghat there, and whether ghat is exact.  A non-affine
+    family gets the Monte-Carlo ghat (1/M sum g^{-1}(s, w_k))^{-1} over
+    M = 10 000 draws from a stream that no trial uses."""
     pts = region.points()
-    vals = np.array([ghat(s) for s in pts]) if certified else ghat(pts)
-    return pts, vals, certified
+    try:
+        ghat = expected_coherent(spec)
+    except NotAffineError:
+        num, den = _sample_coeffs(spec, 10_000, 2**31 - 1)
+        return pts, len(num) / _inverse_sum(num, den, pts), False
+    return pts, np.array([ghat(s) for s in pts]), True
 
 
 def _run_concentration(spec, region, sizes, trials, epsilon, deviation,

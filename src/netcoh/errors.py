@@ -69,10 +69,6 @@ def require_number(name: str, value, integer: bool = False):
     return value
 
 
-class NotAPoleOfFError(NetcohError):
-    pass
-
-
 class DisconnectedError(NetcohError):
     """lambda_2(L) = 0 where a connected graph is required."""
 
@@ -87,10 +83,6 @@ class UnstableModelError(NetcohError):
     """Simulation refused: the state matrix has an eigenvalue with Re > 1e-6."""
 
 
-class MissingReferenceError(NetcohError):
-    pass
-
-
 class LengthMismatchError(NetcohError):
     pass
 
@@ -101,15 +93,5 @@ class NotIntegratorCouplingError(NetcohError, ValueError):
 
 # --- ensembles ---
 
-class InvalidDistributionError(NetcohError):
-    pass
-
-
 class NotAffineError(NetcohError):
     """Analytic expected coherent dynamics requested for a non-affine family."""
-
-
-# --- CLI ---
-
-class ConfigError(NetcohError):
-    pass

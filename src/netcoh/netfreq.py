@@ -22,7 +22,6 @@ from .errors import (
     DisconnectedError,
     InvalidMajorantsError,
     NodeZeroAtSError,
-    NotAPoleOfFError,
     RegionContainsSingularityError,
     SingularAtSError,
     require_increasing,
@@ -386,13 +385,12 @@ class ConnectivityRow:
     alpha: float
     lambda2: float
     sup_incoherence: float
-    sup_bound: float | None
     reports: list[IncoherenceReport] = field(repr=False)
 
 
 def connectivity_sweep(net: NetworkModel, region: FrequencyRegion,
                        alphas: list[float]) -> list[ConnectivityRow]:
-    """Sup incoherence, sup bound and per-point reports per Laplacian scaling.
+    """Sup incoherence and per-point reports per Laplacian scaling.
 
     Majorants are fixed once from the unscaled node dynamics; scaling L
     leaves gbar and the g_i untouched.
@@ -403,10 +401,7 @@ def connectivity_sweep(net: NetworkModel, region: FrequencyRegion,
     for alpha in alphas:
         scaled = net.scaled(alpha)
         reports, sup = sweep_region(scaled, region, M1=M1, M2=M2)
-        bounds = [r.bound for r in reports if r.bound_valid]
-        sup_bound = max(bounds) if len(bounds) == len(reports) else None
-        rows.append(ConnectivityRow(alpha, scaled.laplacian.lambda2, sup,
-                                    sup_bound, reports))
+        rows.append(ConnectivityRow(alpha, scaled.laplacian.lambda2, sup, reports))
     return rows
 
 
@@ -435,7 +430,7 @@ def pole_approach_sweep(net: NetworkModel, pole_of_f: complex,
         raise DisconnectedError("pole approach requires lambda_2(L) > 0")
     f_poles = net.coupling.poles()
     if not any(abs(p - pole_of_f) < 1e-7 for p in f_poles):
-        raise NotAPoleOfFError(f"{pole_of_f} is not a pole of the coupling")
+        raise ValueError(f"{pole_of_f} is not a pole of the coupling")
     reports, _ = _sweep(net, [pole_of_f + r for r in radii])
     return [(float(r), rep.measured) for r, rep in zip(radii, reports)]
 

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DisconnectedError,
     LengthMismatchError,
-    MissingReferenceError,
     NotIntegratorCouplingError,
     SingularAtSError,
     UnstableModelError,
@@ -92,7 +91,7 @@ class SimulationResult:
     def deviation_linf(self) -> float:
         """sup_t max_i |y_i - ybar|."""
         if self.coherent_output is None:
-            raise MissingReferenceError("coherent reference output missing")
+            raise ValueError("coherent reference output missing")
         return float(np.max(np.abs(self.node_outputs - self.coherent_output)))
 
 

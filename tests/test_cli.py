@@ -451,15 +451,15 @@ class TestErrorsAndReproducibility:
         ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
             "m": {"kind": "point", "value": -1.0},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
-            "sweep": {"sizes": [4], "trials": 2}}, 3, "InvalidDistribution"),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
             "m": {"kind": "point", "value": 0.0},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
-            "sweep": {"sizes": [4], "trials": 2}}, 3, "InvalidDistribution"),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
             "m": {"kind": "normal", "mean": 0, "sd": 1, "lo": 10, "hi": 11},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
-            "sweep": {"sizes": [4], "trials": 2}}, 3, "InvalidDistribution"),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {
             "num_0": {"kind": "point", "value": 1.0},
             "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
@@ -578,6 +578,14 @@ class TestErrorsAndReproducibility:
             CONCENTRATE_ENSEMBLE["params"], tau={"kind": "uniform", "lo": 1, "hi": 2})),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("analyze", {"net": SWING_NET, "region": {"kind": "rect_grid"}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "uniform", "lo": 2, "hi": 1},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "normal", "mean": 2, "sd": -1, "lo": 1, "hi": 3},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -598,7 +606,8 @@ class TestErrorsAndReproducibility:
             "unknown-distribution-kind", "non-positive-inertias", "shape-count",
             "freqdep-shape-count", "self-loop-edge", "negative-edge-weight",
             "edge-out-of-range", "builder-n-1", "analyze-negative-alpha",
-            "unused-ensemble-param", "rect-grid-zero-sigma"])
+            "unused-ensemble-param", "rect-grid-zero-sigma", "uniform-lo-ge-hi",
+            "normal-negative-sd"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd

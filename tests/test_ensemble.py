@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netcoh import netfreq
-from netcoh.errors import InvalidDistributionError, NotAffineError
+from netcoh.errors import NotAffineError
 from netcoh.ensemble import (
     ConcentrationResult,
     EnsembleSpec,
@@ -92,28 +92,44 @@ class TestDistribution:
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(20)
         try:
-            with pytest.raises(InvalidDistributionError):
+            with pytest.raises(ValueError,
+                               match=r"^normal on \[10\.0, 11\.0\]: 0/1 draws kept$"):
                 d.sample(np.random.default_rng(0), 1)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(InvalidDistributionError):
-            d.mean()  # Phi(11) - Phi(10) rounds to zero
+        with pytest.raises(ValueError, match=r"^zero mass on \[40\.0, 41\.0\]$"):
+            normal(0.0, 1.0, 40.0, 41.0).mean()  # the tail mass underflows to 0
+
+    @pytest.mark.parametrize("lo,hi,want", [
+        (8.0, 9.0, 8.1211889929797971),  # mpmath, 60 digits
+        (10.0, 11.0, 10.098068374933019),  # mass 7.6e-24
+        (-9.0, -8.0, -8.1211889929797971),
+    ])
+    def test_far_tail_mean(self, lo, hi, want):
+        # Phi(b) - Phi(a) cancels in an upper tail; the mass is taken there as
+        # Phi(-a) - Phi(-b) instead
+        assert normal(0.0, 1.0, lo, hi).mean() == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_invalid_bounds(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match=r"^truncation bounds must satisfy "
+                                             r"lo < hi, got \[2\.0, 1\.0\]$"):
             uniform(2.0, 1.0)
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match="^sd must be non-negative$"):
             normal(0.0, -1.0, 0.0, 1.0)
+
+
+NON_POSITIVE_LEAD = "^node has non-positive leading denominator coefficient$"
 
 
 class TestEnsembleSpec:
     def test_missing_parameter(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError,
+                           match=r"^swing family needs parameters \['d'\]$"):
             EnsembleSpec("swing", {"m": point(1.0)})
 
     def test_unknown_family(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match="^unknown family 'lc_circuit'$"):
             EnsembleSpec("lc_circuit", {})
 
     @pytest.mark.parametrize("family, params, unused", [
@@ -127,7 +143,7 @@ class TestEnsembleSpec:
                            "den_1": point(1.0), "aa": uniform(5, 6)}, ["aa"]),
     ], ids=["swing", "swing_turbine", "custom_coeffs"])
     def test_unused_parameter_rejected(self, family, params, unused):
-        with pytest.raises(InvalidDistributionError,
+        with pytest.raises(ValueError,
                            match=f"^{family} family does not use parameters "
                                  + re.escape(repr(unused)) + "$"):
             EnsembleSpec(family, params)
@@ -171,7 +187,8 @@ class TestEnsembleSpec:
         ("num_0", "den_0", "den_01"), ("den_0",),
     ], ids=["gap", "no-num_0", "non-integer", "leading-zero", "no-numerator"])
     def test_custom_coeffs_names_need_integers_without_gaps(self, names):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match=r"^(num|den)_k needs integers "
+                                             r"k = 0, 1, \.\.\. without gaps, got \["):
             EnsembleSpec("custom_coeffs", {k: point(1.0) for k in names})
 
     @pytest.mark.parametrize("m", [-1.0, 0.0])
@@ -179,16 +196,16 @@ class TestEnsembleSpec:
         # m = -1 gives the unstable node -1/(s - 1) and m = 0 the constant 1;
         # only the raw leading coefficient, not the monic one, shows that
         spec = EnsembleSpec("swing", {"m": point(m), "d": point(1.0)})
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match=NON_POSITIVE_LEAD):
             sample_nodes(spec, 3)
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match=NON_POSITIVE_LEAD):
             concentration_experiment(spec, SEGMENT, [3], 2, 0.1)
 
     def test_non_positive_turbine_leading_coefficient_rejected(self):
         spec = EnsembleSpec("swing_turbine", {"m": point(1.0), "d": point(1.0),
                                               "r_inv": point(0.3),
                                               "tau": uniform(-1.0, 1.0)})
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match=NON_POSITIVE_LEAD):
             sample_nodes(spec, 50)
 
 
@@ -214,7 +231,7 @@ class TestSampling:
             RF([1.0], [di, mi]) for mi, di in zip(m, d)]
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             swing_spec(-1)
 
     @pytest.mark.parametrize("seed", [1.5, "3", True])
@@ -235,9 +252,10 @@ class TestExpectedCoherent:
     def test_monte_carlo_converges_to_analytic(self):
         spec = swing_spec(seed=11)
         ghat = expected_coherent(spec)
-        mc = expected_coherent(spec, "monte_carlo", mc_draws=40_000)
-        for s in (0.5, 1j, 1 + 1j):
-            assert abs(mc(s) - ghat(s)) < 5e-3
+        num, den = _sample_coeffs(spec, 40_000, 2**31 - 1)
+        pts = [0.5, 1j, 1 + 1j]
+        for s, mc in zip(pts, 40_000 / netfreq._inverse_sum(num, den, pts)):
+            assert abs(mc - ghat(s)) < 5e-3
 
     def test_random_tau_not_affine(self):
         spec = EnsembleSpec(
@@ -405,30 +423,32 @@ class TestFloatEvaluation:
         spec = EnsembleSpec("swing_turbine", {
             "m": uniform(1, 2), "d": uniform(1, 2), "r_inv": uniform(0.1, 0.4),
             "tau": uniform(1, 3)}, seed=4)
-        mc = expected_coherent(spec, "monte_carlo", mc_draws=300, stream_index=9)
+        num, den = _sample_coeffs(spec, 300, 9)
         nodes = sample_nodes(spec, 300, 9)
         pts = SEGMENT.points()
+        mc = 300 / netfreq._inverse_sum(num, den, pts)
         want = [300 / sum(g.eval_inverse(s) for g in nodes) for s in pts]
-        assert np.allclose(mc(pts), want, rtol=1e-12, atol=0)
-        assert [mc(s) for s in pts] == list(mc(pts))
+        assert np.allclose(mc, want, rtol=1e-12, atol=0)
+        assert [300 / netfreq._inverse_sum(num, den, [s])[0] for s in pts] == list(mc)
 
     def test_inverse_sum_in_node_blocks(self, monkeypatch):
         # large draws x grid products are summed block by block
-        spec = swing_spec(6)
-        mc = expected_coherent(spec, "monte_carlo", mc_draws=300)
+        num, den = _sample_coeffs(swing_spec(6), 300, 2**31 - 1)
         pts = SEGMENT.points()
-        whole = mc(pts)
+        whole = netfreq._inverse_sum(num, den, pts)
         monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 40)  # 4 nodes per block
-        assert np.allclose(mc(pts), whole, rtol=1e-13, atol=0)
+        assert np.allclose(netfreq._inverse_sum(num, den, pts), whole,
+                           rtol=1e-13, atol=0)
 
     def test_distinct_numerators_in_blocks(self, monkeypatch, node_rows):
         # every run is one node, so the blocks still split the draws
-        mc = expected_coherent(turbine_spec(6), "monte_carlo", mc_draws=300)
+        num, den = _sample_coeffs(turbine_spec(6), 300, 2**31 - 1)
         pts = SEGMENT.points()
-        whole = mc(pts)
+        whole = netfreq._inverse_sum(num, den, pts)
         monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 40)  # 4 runs per block
         node_rows.clear()
-        assert np.allclose(mc(pts), whole, rtol=1e-13, atol=0)
+        assert np.allclose(netfreq._inverse_sum(num, den, pts), whole,
+                           rtol=1e-13, atol=0)
         assert node_rows == [4] * 75
 
     def test_one_evaluated_row_per_swing_trial(self, node_rows):

@@ -9,7 +9,6 @@ from netcoh.errors import (
     AlgebraicLoopSingularError,
     DisconnectedError,
     LengthMismatchError,
-    MissingReferenceError,
     NotIntegratorCouplingError,
     SingularAtSError,
     UnstableModelError,
@@ -356,7 +355,7 @@ class TestCoherentReference:
 class TestDeviation:
     def test_missing_reference(self):
         res = SimulationResult(np.zeros(3), np.zeros((2, 3)))
-        with pytest.raises(MissingReferenceError):
+        with pytest.raises(ValueError, match="^coherent reference output missing$"):
             _ = res.deviation_linf
 
     def test_metrics_against_direct_max(self):
