@@ -9,14 +9,12 @@ whole grid at once; exact algebra is formed by ``sample_nodes`` only.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotAffineError, require_increasing, require_number
-from .graph import builder
 from .netfreq import (
     FrequencyRegion,
     _inverse_sum,
@@ -234,9 +232,7 @@ class ConcentrationResult:
 
     sizes: list[int]
     deviations: list[list[float]]  # per size, one value per trial
-    epsilon: float
     prob_estimates: list[float]
-    metadata: dict = field(default_factory=dict)
 
     @property
     def median_deviations(self) -> list[float]:
@@ -244,20 +240,20 @@ class ConcentrationResult:
 
 
 def _ghat_on_grid(spec, region):
-    """Grid points, ghat there, and whether ghat is exact.  A non-affine
-    family gets the Monte-Carlo ghat (1/M sum g^{-1}(s, w_k))^{-1} over
-    M = 10 000 draws from a stream that no trial uses."""
+    """Grid points and ghat there.  A non-affine family gets the Monte-Carlo
+    ghat (1/M sum g^{-1}(s, w_k))^{-1} over M = 10 000 draws from a stream
+    that no trial uses."""
     pts = region.points()
     try:
         ghat = expected_coherent(spec)
     except NotAffineError:
         num, den = _sample_coeffs(spec, 10_000, 2**31 - 1)
-        return pts, len(num) / _inverse_sum(num, den, pts), False
-    return pts, np.array([ghat(s) for s in pts]), True
+        return pts, len(num) / _inverse_sum(num, den, pts)
+    return pts, np.array([ghat(s) for s in pts])
 
 
-def _run_concentration(spec, region, sizes, trials, epsilon, deviation,
-                       **metadata) -> ConcentrationResult:
+def _run_concentration(spec, region, sizes, trials, epsilon,
+                       deviation) -> ConcentrationResult:
     """Sizes x trials loop shared by both experiments.
 
     deviation(n, stream_index, pts, ghat_vals) gives one trial's grid sup.
@@ -266,18 +262,15 @@ def _run_concentration(spec, region, sizes, trials, epsilon, deviation,
         raise ValueError(f"need trials >= 1 and at least one size, got trials={trials}, "
                          f"sizes={sizes}")
     require_increasing("sizes", sizes)
-    pts, ghat_vals, certified = _ghat_on_grid(spec, region)
+    pts, ghat_vals = _ghat_on_grid(spec, region)
     deviations = [
         [float(deviation(n, _trial_stream(size_idx, trial), pts, ghat_vals))
          for trial in range(trials)]
         for size_idx, n in enumerate(sizes)
     ]
     probs = [float(np.mean(np.asarray(d) >= epsilon)) for d in deviations]
-    return ConcentrationResult(
-        sizes=list(sizes), deviations=deviations, epsilon=epsilon,
-        prob_estimates=probs,
-        metadata={"ghat_uniform_continuity_certified": certified, **metadata},
-    )
+    return ConcentrationResult(sizes=list(sizes), deviations=deviations,
+                               prob_estimates=probs)
 
 
 def concentration_experiment(spec: EnsembleSpec, region: FrequencyRegion,
@@ -297,8 +290,7 @@ def concentration_experiment(spec: EnsembleSpec, region: FrequencyRegion,
         gbar_n = harmonic_mean(sample_nodes(spec, n, stream))
         return max(abs(gbar_n(s) - gv) for s, gv in zip(pts, ghat_vals))
 
-    return _run_concentration(spec, region, sizes, trials, epsilon, deviation,
-                              metric="sup |gbar_n - ghat|")
+    return _run_concentration(spec, region, sizes, trials, epsilon, deviation)
 
 
 def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
@@ -309,21 +301,17 @@ def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
     Deviation metric is sup_S ||T_n(s, w) - (1/n) ghat(s) 11^T|| with the
     coupling absorbed into L (f = 1).
     """
-    complete = functools.cache(functools.partial(builder, "complete"))
-
     def deviation(n, stream, pts, ghat_vals):
         ginv = _node_inverses(*_sample_coeffs(spec, n, stream), pts)
         if np.isinf(ginv).any():  # a node zero: _transfer's limit needs reduced nodes
             nodes = sample_nodes(spec, n, stream)
             ginv = _node_inverses(_pad([g.num for g in nodes]),
                                   _pad([g.den for g in nodes]), pts)
-        L = complete(n).entries
+        L = n * np.eye(n) - 1.0  # the complete graph's Laplacian nI - 11^T
         return max(np.linalg.norm(_transfer(s, row, 1.0, L) - gv / n, 2)
                    for s, row, gv in zip(pts, ginv, ghat_vals))
 
-    return _run_concentration(spec, region, sizes, trials, epsilon, deviation,
-                              metric="sup ||T_n - (1/n) ghat 11^T||",
-                              laplacian_family="complete")
+    return _run_concentration(spec, region, sizes, trials, epsilon, deviation)
 
 
 def _trial_stream(size_idx: int, trial: int) -> int:

@@ -1,10 +1,8 @@
-"""Weighted symmetric graph Laplacians with cached spectra.
+"""Weighted symmetric graph Laplacians with cached eigenvalues.
 
-The eigendecomposition is computed eagerly at construction and shared by every
-rescaled copy: bounds and sweeps read lambda_2, and the homogeneous decomposition
-check reads V_perp of the eigenvector matrix V = [1/sqrt(n), V_perp].  The zero
-cluster is snapped to exact zeros, so lambda_2 = 0 exactly when the graph is
-disconnected.
+The eigenvalues are computed eagerly at construction and shared by every
+rescaled copy; bounds and sweeps read lambda_2.  The zero cluster is snapped to
+exact zeros, so lambda_2 = 0 exactly when the graph is disconnected.
 """
 
 from __future__ import annotations
@@ -25,34 +23,24 @@ __all__ = [
 ZERO_CLUSTER_REL = 1e-10
 
 
-def _spectrum(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh with the zero cluster, eigenvalues within ZERO_CLUSTER_REL lambda_max
-    (or 1e-14) of 0, snapped to exact zeros; the cluster's eigenvectors become
-    1/sqrt(n) followed by an orthonormal basis of their projection against it."""
-    n = entries.shape[0]
-    evals, evecs = np.linalg.eigh(entries)
+def _spectrum(entries: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues with the zero cluster, every eigenvalue within
+    ZERO_CLUSTER_REL lambda_max (or 1e-14) of 0, snapped to exact zeros.
+    Taken from eigh, not eigvalsh, whose lambda_2 differs in the last bits."""
+    evals = np.linalg.eigh(entries)[0]
     lam_max = max(float(evals[-1]), 0.0)
-    zero = np.abs(evals) <= (ZERO_CLUSTER_REL * lam_max if lam_max > 0 else 1e-14)
-    evals[zero] = 0.0
-    ones = np.ones(n) / np.sqrt(n)
-    cluster = evecs[:, zero]
-    if cluster.shape[1] > 1:  # the projection has rank one less than the cluster
-        cluster -= np.outer(ones, ones @ cluster)
-        cluster[:, 1:] = np.linalg.svd(cluster, full_matrices=False)[0][:, :-1]
-    cluster[:, :1] = ones[:, None]
-    evecs[:, zero] = cluster
-    return evals, evecs
+    evals[np.abs(evals) <= (ZERO_CLUSTER_REL * lam_max if lam_max > 0 else 1e-14)] = 0.0
+    return evals
 
 
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
-    """Symmetric PSD Laplacian with eigenvalues and eigenvectors cached."""
+    """Symmetric PSD Laplacian with its eigenvalues cached."""
 
     entries: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
-    def __init__(self, entries, eigenvalues=None, eigenvectors=None):
+    def __init__(self, entries, eigenvalues=None):
         entries = np.asarray(entries, dtype=float)
         n = entries.shape[0]
         if entries.shape != (n, n) or n < 1:
@@ -63,13 +51,12 @@ class LaplacianMatrix:
                 raise ValueError("Laplacian must be symmetric")
             if np.linalg.norm(entries @ np.ones(n)) > 1e-10 * norm:
                 raise ValueError("Laplacian rows must sum to zero")
-        if eigenvalues is None or eigenvectors is None:
-            eigenvalues, eigenvectors = _spectrum(entries)
+        if eigenvalues is None:
+            eigenvalues = _spectrum(entries)
         if eigenvalues[0] < 0:  # a negative eigenvalue outside the zero cluster
             raise ValueError("Laplacian is not positive semidefinite")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "eigenvalues", np.asarray(eigenvalues, float))
-        object.__setattr__(self, "eigenvectors", np.asarray(eigenvectors, float))
 
     @property
     def n(self) -> int:
@@ -80,17 +67,11 @@ class LaplacianMatrix:
         """Algebraic connectivity; exactly 0 for one node or a disconnected graph."""
         return float(self.eigenvalues[1]) if self.n > 1 else 0.0
 
-    @property
-    def v_perp(self) -> np.ndarray:
-        return self.eigenvectors[:, 1:]
-
     def scale(self, alpha: float) -> "LaplacianMatrix":
-        """alpha * L; spectrum scales linearly, eigenvectors unchanged."""
+        """alpha * L; the spectrum scales linearly."""
         if require_number("alpha", alpha) <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        return LaplacianMatrix(
-            alpha * self.entries, alpha * self.eigenvalues, self.eigenvectors
-        )
+        return LaplacianMatrix(alpha * self.entries, alpha * self.eigenvalues)
 
 
 def from_edge_list(edges, n: int) -> LaplacianMatrix:

@@ -57,8 +57,8 @@ class InputSignal:
         if self.family not in ("step", "sinusoid", "exp_approach"):
             raise ValueError(f"unknown input family {self.family!r}")
         object.__setattr__(self, "shape", np.atleast_1d(np.asarray(self.shape, float)))
-        if self.family in ("sinusoid", "exp_approach") and self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if self.family in ("sinusoid", "exp_approach") and not self.alpha > 0:
+            raise ValueError(f"{self.family} needs alpha > 0, got {self.alpha!r}")
 
     def generator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A_w, w0, c) with u(t) = (c . e^{A_w t} w0) shape for t >= 0."""

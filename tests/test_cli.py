@@ -586,6 +586,10 @@ class TestErrorsAndReproducibility:
             "m": {"kind": "normal", "mean": 2, "sd": -1, "lo": 1, "hi": 3},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        ("simulate", {"net": SWING_NET, "simulate": {"t_end": 1.0},
+                      "input": {"family": "sinusoid"}}, 2, "config"),
+        ("freqdep", {"net": INTEGRATOR_NET, "sweep": {"alphas": [0.0, 0.1]},
+                     "simulate": {"t_end": 1.0}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -607,7 +611,7 @@ class TestErrorsAndReproducibility:
             "freqdep-shape-count", "self-loop-edge", "negative-edge-weight",
             "edge-out-of-range", "builder-n-1", "analyze-negative-alpha",
             "unused-ensemble-param", "rect-grid-zero-sigma", "uniform-lo-ge-hi",
-            "normal-negative-sd"])
+            "normal-negative-sd", "sinusoid-without-alpha", "freqdep-zero-alpha"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd

@@ -21,7 +21,7 @@ from netcoh.ensemble import (
     sample_nodes,
     uniform,
 )
-from netcoh.graph import builder
+from netcoh.graph import LaplacianMatrix, builder
 from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
 from netcoh.ratfun import harmonic_mean
@@ -331,16 +331,6 @@ class TestConcentration:
         with pytest.raises(ValueError, match="trials >= 1 and at least one size"):
             run(swing_spec(), SEGMENT, sizes, trials, 0.1)
 
-    def test_metadata_flags_mc_fallback(self):
-        spec = EnsembleSpec(
-            "swing_turbine",
-            {"m": point(1.0), "d": point(1.0), "r_inv": point(0.3),
-             "tau": uniform(1, 2)},
-        )
-        res = concentration_experiment(spec, SEGMENT, [3], trials=2,
-                                       epsilon=0.1)
-        assert res.metadata["ghat_uniform_continuity_certified"] is False
-
 
 class TestFullNetworkConcentration:
     def test_deviation_shrinks_with_size(self):
@@ -364,7 +354,7 @@ class TestFullNetworkConcentration:
 
 class TestResultContainer:
     def test_median(self):
-        res = ConcentrationResult([2], [[3.0, 1.0, 2.0]], 0.5, [1.0])
+        res = ConcentrationResult([2], [[3.0, 1.0, 2.0]], [1.0])
         assert res.median_deviations == [2.0]
 
 
@@ -533,6 +523,19 @@ class TestFullNetworkKernel:
         assert len(built) == 1  # the analytic ghat
         full_network_concentration(swing_spec(2), SEGMENT, [3, 10, 40], 4, 0.05)
         assert len(built) == 2
+
+    def test_builds_no_laplacian(self, monkeypatch):
+        # the complete graph's Laplacian nI - 11^T needs no validation or spectrum
+        built = []
+        real = LaplacianMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(LaplacianMatrix, "__init__", counting)
+        full_network_concentration(turbine_spec(4), SEGMENT, [3, 10], 2, 0.05)
+        assert built == []
 
     def test_node_zero_on_grid(self):
         spec = EnsembleSpec("custom_coeffs", {

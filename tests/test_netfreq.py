@@ -40,6 +40,7 @@ from netcoh.netfreq import (
 )
 from netcoh.ratfun import Polynomial
 from netcoh.ratfun import RationalFunction as RF
+from test_graph import _components
 
 ONE = RF([1], [1])
 INTEGRATOR = RF([1], [0, 1])
@@ -95,7 +96,7 @@ class TestEvalT:
         rng = np.random.default_rng(5)
         net = random_swing_net(rng, 4)
         L = net.laplacian
-        V = L.eigenvectors
+        V = np.linalg.eigh(L.entries)[1]
         for _ in range(50):
             s = complex(rng.uniform(0.1, 2), rng.uniform(-3, 3))
             T = eval_T(net, s)
@@ -441,6 +442,18 @@ class TestDecomposition:
         assert homogeneous_decomposition_check(
             RF([1], [1, 1]), ONE, zero_laplacian(3), 0.7
         ) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (4, 1, 6)],
+                             ids=["two-components", "three-components"])
+    def test_disconnected_weighted(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        for _ in range(10):
+            edges, n = _components(rng, sizes)
+            L = from_edge_list(edges, n)
+            g = swing(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+            f = RF([rng.uniform(0.5, 2.0)], [1.0, rng.uniform(0.0, 1.0)])
+            s = complex(rng.uniform(0.05, 2.0), rng.uniform(-3.0, 3.0))
+            assert homogeneous_decomposition_check(g, f, L, s) <= 1e-8
 
 
 class TestAggregateDynamics:

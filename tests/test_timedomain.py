@@ -44,6 +44,14 @@ class TestInputSignal:
         with pytest.raises(ValueError):
             InputSignal("ramp", [1.0])
 
+    @pytest.mark.parametrize("family, alpha", [
+        ("exp_approach", None), ("sinusoid", 0.0), ("sinusoid", math.nan)])
+    def test_alpha_must_be_positive(self, family, alpha):
+        # sin(0 t) and 1 - e^{0 t} are zero inputs
+        kwargs = {} if alpha is None else {"alpha": alpha}
+        with pytest.raises(ValueError, match=rf"^{family} needs alpha > 0, got "):
+            InputSignal(family, [1.0], **kwargs)
+
 
 class TestSimulate:
     def test_first_order_step_analytic(self):
