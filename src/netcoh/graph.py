@@ -7,6 +7,7 @@ exact zeros, so lambda_2 = 0 exactly when the graph is disconnected.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,21 +75,47 @@ class LaplacianMatrix:
         return LaplacianMatrix(alpha * self.entries, alpha * self.eigenvalues)
 
 
+def _check_edge(i, j, w, n: int) -> None:
+    if i == j:
+        raise ValueError(f"self loop at node {i}")
+    if require_number(f"edge ({i},{j}) weight", w) <= 0:
+        raise ValueError(f"edge ({i},{j}) has weight {w}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"edge ({i},{j}) outside 0..{n - 1}")
+    require_number(f"edge ({i},{j}) node", i, integer=True)
+    require_number(f"edge ({i},{j}) node", j, integer=True)
+
+
+def _assemble(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int) -> LaplacianMatrix:
+    """L = sum_k w_k (e_i - e_j)(e_i - e_j)^T over checked edge arrays.
+    bincount adds in edge order, so every entry, duplicate edges included, has
+    the bits of a loop that adds w_k to L_ii and L_jj and subtracts it from
+    L_ij and L_ji."""
+    w2 = np.repeat(w, 2)
+    L = np.bincount(np.stack([i * n + j, j * n + i], axis=1).ravel(), -w2, n * n)
+    L[::n + 1] = np.bincount(np.stack([i, j], axis=1).ravel(), w2, n)
+    return LaplacianMatrix(L.reshape(n, n))
+
+
+def _all_of(kind, values) -> bool:
+    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
+
+
 def from_edge_list(edges, n: int) -> LaplacianMatrix:
-    """Build a Laplacian from (i, j, w) triples; duplicate edges are summed."""
-    L = np.zeros((n, n))
-    for i, j, w in edges:
-        if i == j:
-            raise ValueError(f"self loop at node {i}")
-        if require_number(f"edge ({i},{j}) weight", w) <= 0:
-            raise ValueError(f"edge ({i},{j}) has weight {w}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) outside 0..{n - 1}")
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
-    return LaplacianMatrix(L)
+    """Build a Laplacian from (i, j, w) triples; duplicate edges are summed.
+    A vectorised screen flags the edges that fail a check; the first flagged
+    edge then raises its error as _check_edge words it."""
+    edges = [(i, j, w) for i, j, w in edges]
+    i, j, w = ([edge[k] for edge in edges] for k in range(3))
+    ij, flagged = np.array(i + j), np.ones(len(edges), bool)
+    if (ij.dtype.kind == "i" and _all_of(numbers.Integral, i + j)
+            and _all_of(numbers.Real, w)):
+        (i, j), w = ij.reshape(2, -1), np.array(w, float)
+        flagged = ((i == j) | ~(w > 0) | ~np.isfinite(w)
+                   | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
+    for k in np.flatnonzero(flagged):
+        _check_edge(*edges[k], n)
+    return _assemble(np.array(i, int), np.array(j, int), np.array(w, float), n)
 
 
 def builder(kind: str, n: int, weight: float = 1.0) -> LaplacianMatrix:
@@ -98,18 +125,20 @@ def builder(kind: str, n: int, weight: float = 1.0) -> LaplacianMatrix:
     if n < 2:
         raise ValueError(f"builder needs n >= 2, got {n}")
     if kind == "complete":
-        edges = [(i, j, weight) for i in range(n) for j in range(i + 1, n)]
-    elif kind == "ring":
-        edges = [(i, (i + 1) % n, weight) for i in range(n)]
-        if n == 2:  # avoid the doubled edge
-            edges = [(0, 1, weight)]
+        i, j = np.triu_indices(n, 1)
+    elif kind == "ring":  # n = 2 would double the edge
+        i = np.arange(n if n > 2 else 1)
+        j = (i + 1) % n
     elif kind == "star":
-        edges = [(0, i, weight) for i in range(1, n)]
+        j = np.arange(1, n)
+        i = np.zeros_like(j)
     elif kind == "path":
-        edges = [(i, i + 1, weight) for i in range(n - 1)]
+        i = np.arange(n - 1)
+        j = i + 1
     else:
         raise ValueError(f"unknown topology {kind!r}")
-    return from_edge_list(edges, n)
+    _check_edge(0, 1, weight, n)  # every topology's first edge, as in from_edge_list
+    return _assemble(i, j, np.full(len(i), float(weight)), n)
 
 
 def read_edge_list(path) -> LaplacianMatrix:

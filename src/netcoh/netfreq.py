@@ -51,7 +51,7 @@ MAJORANT_SAFETY = 1.05
 # FrequencyRegion.contains widens the region by this pad, which absorbs the
 # eigenvalue error of gbar_model's poles (measured at 1e-14 relative or less)
 _REGION_PAD = 1e-9
-_CHUNK_ELEMS = 1 << 20  # bounds the (runs x points) work arrays of _inverse_sum
+_CHUNK_ELEMS = 1 << 20  # runs x points of an _inverse_sum chunk; nodes x points of a batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,18 +200,30 @@ def _node_inverses(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
                      where=nv != 0)
 
 
-def _inverse_sum(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
-    """sum_i g_i^{-1}(s) at each point s. A run of consecutive rows with equal
-    numerators is one division, its summed denominators over the shared numerator;
-    runs are summed in blocks of at most _CHUNK_ELEMS run-point pairs (one at least)."""
+def _inverse_sum(num: np.ndarray, den: np.ndarray, pts, blocks) -> np.ndarray:
+    """sum_i g_i^{-1}(s) at each point s, one row per block of consecutive rows
+    (blocks: each non-empty block's first row, ascending from 0).  A run of equal
+    numerators inside a block is one division of its summed denominators.  A
+    chunk of at most _CHUNK_ELEMS run-point pairs (one run at least) holds whole
+    blocks of one run count, or one piece of a block too long for it, so each
+    block's row is bitwise the one it gets alone."""
     pts = np.asarray(pts, dtype=complex)
-    starts = np.flatnonzero(np.r_[True, (num[1:] != num[:-1]).any(axis=1)])
+    new = np.zeros(len(num), bool)
+    new[blocks] = True
+    new[1:] |= (num[1:] != num[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
     num, den = num[starts], np.add.reduceat(den, starts)
-    total = np.zeros(len(pts), complex)
+    first = np.searchsorted(starts, blocks)  # each block's first run
+    width = np.diff(first, append=len(starts))
+    total = np.zeros((len(first), len(pts)), complex)
     step = max(1, _CHUNK_ELEMS // len(pts))
-    for lo in range(0, len(num), step):
-        total += _node_inverses(num[lo:lo + step], den[lo:lo + step], pts
-                                ).sum(axis=1)
+    for r in np.unique(width):
+        same, per = np.flatnonzero(width == r), max(1, step // r)
+        for b in (same[lo:lo + per] for lo in range(0, len(same), per)):
+            for j in range(0, r, step):
+                runs = (first[b, None] + np.arange(j, min(r, j + step))).ravel()
+                total[b] += _node_inverses(num[runs], den[runs], pts).reshape(
+                    len(pts), len(b), -1).sum(axis=2).T
     return total
 
 

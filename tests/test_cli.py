@@ -457,7 +457,7 @@ class TestErrorsAndReproducibility:
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
-            "m": {"kind": "normal", "mean": 0, "sd": 1, "lo": 10, "hi": 11},
+            "m": {"kind": "normal", "mean": 0, "sd": 1, "lo": 40, "hi": 41},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {

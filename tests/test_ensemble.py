@@ -1,13 +1,15 @@
 import math
 import re
 import signal
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netcoh import netfreq
+from netcoh import ensemble, netfreq
 from netcoh.errors import NotAffineError
 from netcoh.ensemble import (
     ConcentrationResult,
@@ -75,7 +77,7 @@ class TestDistribution:
         assert d.is_point
 
     def test_truncated_normal_draws_follow_rejection_loop(self):
-        # the rejection-round cap leaves successful draws bit-identical
+        # a window with mass 0.38, above _TAIL_MASS, draws by plain rejection
         d = normal(0.5, 1.0, 0.0, 1.0)
         rng = np.random.default_rng(4)
         want = []
@@ -85,21 +87,55 @@ class TestDistribution:
         assert np.array_equal(d.sample(np.random.default_rng(4), 500), want)
 
     def test_far_tail_truncation_fails_instead_of_hanging(self):
+        # a window whose mass underflows to 0 is refused before any draw
         def hang(signum, frame):
             raise TimeoutError("truncated-normal sampling did not return")
 
-        d = normal(0.0, 1.0, 10.0, 11.0)
+        d = normal(0.0, 1.0, 40.0, 41.0)
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(20)
         try:
-            with pytest.raises(ValueError,
-                               match=r"^normal on \[10\.0, 11\.0\]: 0/1 draws kept$"):
+            with pytest.raises(ValueError, match=r"^zero mass on \[40\.0, 41\.0\]$"):
                 d.sample(np.random.default_rng(0), 1)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         with pytest.raises(ValueError, match=r"^zero mass on \[40\.0, 41\.0\]$"):
-            normal(0.0, 1.0, 40.0, 41.0).mean()  # the tail mass underflows to 0
+            d.mean()  # the tail mass underflows to 0
+
+    @pytest.mark.parametrize("lo,hi", [(5.0, 6.0), (10.0, 11.0), (-6.0, -5.0),
+                                       (-11.0, -10.0)])
+    def test_far_tail_sampling_is_exact_and_fast(self, lo, hi):
+        d = normal(0.0, 1.0, lo, hi)
+        t0 = time.perf_counter()
+        xs = d.sample(np.random.default_rng(5), 100_000)
+        assert time.perf_counter() - t0 < 0.1
+        assert np.all((xs >= lo) & (xs <= hi))
+        assert abs(xs.mean() - d.mean()) <= 4 * xs.std() / math.sqrt(xs.size)
+
+    def test_tail_mass_threshold(self):
+        # standardised [a, inf) with mass just above and just below 0.1: the
+        # first keeps the plain rejection stream, the second draws by Robert
+        assert ensemble._TAIL_MASS == 0.1
+        above, below = normal(0.0, 1.0, 1.28, 50.0), normal(0.0, 1.0, 1.29, 50.0)
+        assert above._window()[2] > 0.1 > below._window()[2]
+        rng = np.random.default_rng(6)
+        want = []
+        while len(want) < 50:
+            draw = rng.normal(0.0, 1.0, 50 - len(want))
+            want.extend(draw[(draw >= 1.28) & (draw <= 50.0)])
+        assert np.array_equal(above.sample(np.random.default_rng(6), 50), want)
+        assert np.array_equal(below.sample(np.random.default_rng(6), 50),
+                              ensemble._robert(np.random.default_rng(6), 1.29, 50.0, 50))
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.01), (-0.02, 0.01), (-3.0, -2.5)])
+    def test_robert_windows_near_and_below_the_mode(self, lo, hi):
+        # narrow windows at the mode, and a lower tail drawn as a mirrored upper one
+        d = normal(0.0, 1.0, lo, hi)
+        assert d._window()[2] < ensemble._TAIL_MASS
+        xs = d.sample(np.random.default_rng(8), 50_000)
+        assert np.all((xs >= lo) & (xs <= hi))
+        assert abs(xs.mean() - d.mean()) <= 4 * xs.std() / math.sqrt(xs.size)
 
     @pytest.mark.parametrize("lo,hi,want", [
         (8.0, 9.0, 8.1211889929797971),  # mpmath, 60 digits
@@ -254,7 +290,7 @@ class TestExpectedCoherent:
         ghat = expected_coherent(spec)
         num, den = _sample_coeffs(spec, 40_000, 2**31 - 1)
         pts = [0.5, 1j, 1 + 1j]
-        for s, mc in zip(pts, 40_000 / netfreq._inverse_sum(num, den, pts)):
+        for s, mc in zip(pts, 40_000 / netfreq._inverse_sum(num, den, pts, [0])[0]):
             assert abs(mc - ghat(s)) < 5e-3
 
     def test_random_tau_not_affine(self):
@@ -416,40 +452,98 @@ class TestFloatEvaluation:
         num, den = _sample_coeffs(spec, 300, 9)
         nodes = sample_nodes(spec, 300, 9)
         pts = SEGMENT.points()
-        mc = 300 / netfreq._inverse_sum(num, den, pts)
+        mc = 300 / netfreq._inverse_sum(num, den, pts, [0])[0]
         want = [300 / sum(g.eval_inverse(s) for g in nodes) for s in pts]
         assert np.allclose(mc, want, rtol=1e-12, atol=0)
-        assert [300 / netfreq._inverse_sum(num, den, [s])[0] for s in pts] == list(mc)
+        assert [300 / netfreq._inverse_sum(num, den, [s], [0])[0, 0] for s in pts] == list(mc)
 
     def test_inverse_sum_in_node_blocks(self, monkeypatch):
         # large draws x grid products are summed block by block
         num, den = _sample_coeffs(swing_spec(6), 300, 2**31 - 1)
         pts = SEGMENT.points()
-        whole = netfreq._inverse_sum(num, den, pts)
+        whole = netfreq._inverse_sum(num, den, pts, [0])[0]
         monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 40)  # 4 nodes per block
-        assert np.allclose(netfreq._inverse_sum(num, den, pts), whole,
+        assert np.allclose(netfreq._inverse_sum(num, den, pts, [0])[0], whole,
                            rtol=1e-13, atol=0)
 
     def test_distinct_numerators_in_blocks(self, monkeypatch, node_rows):
         # every run is one node, so the blocks still split the draws
         num, den = _sample_coeffs(turbine_spec(6), 300, 2**31 - 1)
         pts = SEGMENT.points()
-        whole = netfreq._inverse_sum(num, den, pts)
+        whole = netfreq._inverse_sum(num, den, pts, [0])[0]
         monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 40)  # 4 runs per block
         node_rows.clear()
-        assert np.allclose(netfreq._inverse_sum(num, den, pts), whole,
+        assert np.allclose(netfreq._inverse_sum(num, den, pts, [0])[0], whole,
                            rtol=1e-13, atol=0)
         assert node_rows == [4] * 75
 
     def test_one_evaluated_row_per_swing_trial(self, node_rows):
-        # every swing node has the numerator 1: one run per trial
-        concentration_experiment(swing_spec(3), SEGMENT, [640], 3, 0.05)
-        assert node_rows == [1, 1, 1]
+        # every swing node has the numerator 1, yet a run ends with its trial:
+        # one evaluation per size, one row per trial
+        concentration_experiment(swing_spec(3), SEGMENT, [40, 640], 3, 0.05)
+        assert node_rows == [3, 3]
 
     def test_distinct_numerators_are_never_merged(self, node_rows):
-        # ghat is a 10 000-draw Monte-Carlo mean, then n rows per trial
+        # ghat is a 10 000-draw Monte-Carlo mean, then one evaluation per size
+        # with n rows for each of its trials
         concentration_experiment(turbine_spec(3), SEGMENT, [40, 80], 2, 0.05)
-        assert node_rows == [10_000, 40, 40, 80, 80]
+        assert node_rows == [10_000, 2 * 40, 2 * 80]
+
+
+def _one_trial_route(spec, region, sizes, trials):
+    """Deviations with one sampling pass, one _inverse_sum and one sup per trial."""
+    pts, ghat = ensemble._ghat_on_grid(spec, region)
+    devs = []
+    for k, n in enumerate(sizes):
+        devs.append([])
+        for stream in (k * 1_000_003 + t + 1 for t in range(trials)):
+            num, den = _sample_coeffs(spec, n, stream)
+            inv = netfreq._inverse_sum(num, den, pts, [0])[0]
+            if np.all(np.isfinite(inv) & (inv != 0)):
+                devs[-1].append(float(np.max(np.abs(n / inv - ghat))))
+            else:
+                gbar = harmonic_mean(sample_nodes(spec, n, stream))
+                devs[-1].append(float(max(abs(gbar(s) - gv) for s, gv in zip(pts, ghat))))
+    return devs
+
+
+# half the numerators are s - 0.5, a node zero at the grid point s = 0.5 of
+# ZERO_REGION, the others s - 0.5 + 2**-54, so the trials of size 1 and 2 mix
+# node-zero trials with regular ones
+HALF_ZERO = EnsembleSpec("custom_coeffs", {
+    "num_0": uniform(-0.5, np.nextafter(-0.5, 0)), "num_1": point(1.0),
+    "den_0": uniform(1, 2), "den_1": uniform(1, 2), "den_2": point(1.0)}, seed=2)
+ZERO_REGION = FrequencyRegion("vertical_segment", 0.5, (-1.0, 1.0), 9)
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("spec,region", [
+        (FAMILIES["swing"], SEGMENT), (turbine_spec(4), SEGMENT),
+        (FAMILIES["custom_coeffs"], SEGMENT), (HALF_ZERO, ZERO_REGION)],
+        ids=["swing", "swing_turbine", "custom_coeffs", "node_zero_mix"])
+    @pytest.mark.parametrize("chunk", [None, 200], ids=["one-batch", "split"])
+    def test_matches_one_trial_route(self, spec, region, chunk, monkeypatch):
+        # chunk=200: batches of two 10-node trials on 9 points; a 40-node
+        # trial is a batch of its own, summed in pieces of 22 runs
+        if chunk is not None:
+            monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", chunk)
+        sizes = [1, 2, 10, 40]
+        got = concentration_experiment(spec, region, sizes, 5, 0.05).deviations
+        assert got == _one_trial_route(spec, region, sizes, 5)
+
+    def test_node_zero_sizes_mix_trials(self):
+        # the mix the test above needs: some trials of size 2 take the exact
+        # route and some do not
+        zero = [(np.abs(_sample_coeffs(HALF_ZERO, 2, t + 1_000_004)[0][:, 0] + 0.5) == 0
+                 ).any() for t in range(5)]
+        assert any(zero) and not all(zero)
+
+    def test_full_network_matches_one_trial_batches(self, monkeypatch):
+        spec = FAMILIES["swing_turbine"]  # an exact ghat, which no chunk touches
+        whole = full_network_concentration(spec, SEGMENT, [3, 6], 4, 0.05)
+        monkeypatch.setattr(netfreq, "_CHUNK_ELEMS", 1)  # one trial per batch
+        assert full_network_concentration(spec, SEGMENT, [3, 6], 4, 0.05
+                                          ).deviations == whole.deviations
 
 
 # ascending numerator rows: 1, 2, s - 0.5 (a node zero on ZERO_GRID), 1 + s/2
@@ -472,7 +566,7 @@ class TestInverseSum:
         num = NUMERATORS[labels]
         den = np.random.default_rng(seed).uniform(0.5, 3.0, (len(labels), 3))
         terms = netfreq._node_inverses(num, den, ZERO_GRID)
-        want, got = terms.sum(axis=1), netfreq._inverse_sum(num, den, ZERO_GRID)
+        want, got = terms.sum(axis=1), netfreq._inverse_sum(num, den, ZERO_GRID, [0])[0]
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite)
         err = np.abs(got[finite] - want[finite])
@@ -485,7 +579,40 @@ class TestInverseSum:
         num, den = _sample_coeffs(turbine_spec(1), n, 0)
         pts = SEGMENT.points()
         want = netfreq._node_inverses(num, den, pts).sum(axis=1)
-        assert np.array_equal(netfreq._inverse_sum(num, den, pts), want)
+        assert np.array_equal(netfreq._inverse_sum(num, den, pts, [0])[0], want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(range(len(NUMERATORS))), min_size=1, max_size=12),
+           st.sets(st.integers(1, 11)), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @example([0] * 6, {2, 4}, 1 << 20, 0)  # equal numerators across each boundary
+    @example([0, 1, 2, 3] * 3, {3, 4}, 20, 0)  # 2 runs a chunk: blocks of 3 split
+    def test_each_block_sums_as_if_alone(self, labels, cuts, chunk, seed):
+        # bitwise, whether a chunk of chunk // 9 runs holds several blocks or
+        # splits one
+        num = NUMERATORS[labels]
+        den = np.random.default_rng(seed).uniform(0.5, 3.0, (len(labels), 3))
+        blocks = [0] + sorted(c for c in cuts if c < len(labels))
+        real, rows = netfreq._node_inverses, []
+
+        def counting(num, den, pts):
+            rows.append(len(num))
+            return real(num, den, pts)
+
+        with (mock.patch.object(netfreq, "_CHUNK_ELEMS", chunk),
+              mock.patch.object(netfreq, "_node_inverses", counting)):
+            got = netfreq._inverse_sum(num, den, ZERO_GRID, blocks)
+            assert got.shape == (len(blocks), len(ZERO_GRID))
+            assert max(rows) <= max(1, chunk // len(ZERO_GRID))  # the memory bound
+            for row, lo, hi in zip(got, blocks, blocks[1:] + [len(labels)]):
+                alone = netfreq._inverse_sum(num[lo:hi], den[lo:hi], ZERO_GRID, [0])
+                assert np.array_equal(row, alone[0])
+
+    def test_runs_end_at_block_boundaries(self, node_rows):
+        num, den = NUMERATORS[[0] * 6], np.ones((6, 3))
+        got = netfreq._inverse_sum(num, den, ZERO_GRID, [0, 2, 5])
+        assert node_rows == [3]  # one run per block
+        s = np.array(ZERO_GRID)
+        assert np.allclose(got, np.outer([2, 3, 1], 1 + s + s * s), rtol=1e-15)
 
 
 def _exact_full_network(spec, region, sizes, trials):

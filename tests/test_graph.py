@@ -12,6 +12,17 @@ from netcoh.graph import (
 )
 
 
+def _loop_laplacian(edges, n):
+    """Entries summed edge by edge, in edge order."""
+    L = np.zeros((n, n))
+    for i, j, w in edges:
+        L[i, i] += w
+        L[j, j] += w
+        L[i, j] -= w
+        L[j, i] -= w
+    return L
+
+
 class TestFromEdgeList:
     def test_two_node_analytic_spectrum(self):
         w = 2.5
@@ -41,6 +52,28 @@ class TestFromEdgeList:
         with pytest.raises(ValueError, match=r"^edge \(0,5\) outside 0\.\.1$"):
             from_edge_list([(0, 5, 1.0)], 2)
 
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1, 1.0), (1, 2, -1.0), (0, 0, 1.0)], r"^edge \(1,2\) has weight -1\.0$"),
+        ([(0, 1, 1.0), (3, 3, 1.0), (1, 2, 0.0)], "^self loop at node 3$"),
+        ([(0, 1, 1.0), (1, 2, True), (1, 9, 1.0)],
+         r"^edge \(1,2\) weight must be a finite number, got True$"),
+        ([(0, 1, 1.0), (1, 2**70, 1.0), (1, 1, 1.0)], r"^edge \(1,\d+\) outside 0\.\.2$"),
+        ([(0, 1.5, 1.0), (1, 1, 1.0)], r"^edge \(0,1\.5\) node must be an integer"),
+    ], ids=["weight", "self-loop", "bool-weight", "huge-index", "float-index"])
+    def test_first_invalid_edge_raises(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            from_edge_list(edges, 3)
+
+    def test_entries_match_edge_by_edge_loop_bitwise(self):
+        # duplicate and reversed edges with weights whose sums round
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            edges = [(*map(int, rng.choice(n, 2, replace=False)), float(rng.uniform(0.01, 10)))
+                     for _ in range(int(rng.integers(0, 30)))]
+            assert (from_edge_list(edges, n).entries.tobytes()
+                    == _loop_laplacian(edges, n).tobytes())
+
     @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_weight(self, w):
         with pytest.raises(ValueError, match="must be a finite number"):
@@ -50,6 +83,24 @@ class TestFromEdgeList:
 class TestBuilders:
     def test_complete_lambda2(self):
         assert builder("complete", 5).lambda2 == pytest.approx(5)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.1, 3])
+    @pytest.mark.parametrize("kind", ["complete", "ring", "star", "path"])
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_entries_match_from_edge_list(self, kind, n, weight):
+        edges = {"complete": [(i, j) for i in range(n) for j in range(i + 1, n)],
+                 "ring": [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)],
+                 "star": [(0, i) for i in range(1, n)],
+                 "path": [(i, i + 1) for i in range(n - 1)]}[kind]
+        want = _loop_laplacian([(i, j, weight) for i, j in edges], n)
+        assert builder(kind, n, weight).entries.tobytes() == want.tobytes()
+
+    def test_complete_640_is_n_identity_minus_ones(self):
+        assert np.array_equal(builder("complete", 640).entries, 640 * np.eye(640) - 1)
+
+    def test_builder_weight_errors_name_the_first_edge(self):
+        with pytest.raises(ValueError, match=r"^edge \(0,1\) has weight -2$"):
+            builder("star", 4, -2)
 
     def test_star_against_oracle(self):
         L = builder("star", 4)
