@@ -61,6 +61,8 @@ def require_increasing(name: str, values) -> None:
 def require_number(name: str, value, integer: bool = False):
     """value, if it is a finite real number, or an integer when integer is
     set; otherwise ValueError.  A bool is neither."""
+    if type(value) is (int if integer else float) and (integer or math.isfinite(value)):
+        return value  # the common case, without the abstract-class checks
     if (isinstance(value, bool)
             or not isinstance(value, numbers.Integral if integer else numbers.Real)
             or not (integer or math.isfinite(value))):

@@ -7,7 +7,6 @@ exact zeros, so lambda_2 = 0 exactly when the graph is disconnected.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +77,13 @@ class LaplacianMatrix:
 def _check_edge(i, j, w, n: int) -> None:
     if i == j:
         raise ValueError(f"self loop at node {i}")
-    if require_number(f"edge ({i},{j}) weight", w) <= 0:
-        raise ValueError(f"edge ({i},{j}) has weight {w}")
+    edge = f"edge ({i},{j})"
+    if require_number(edge + " weight", w) <= 0:
+        raise ValueError(f"{edge} has weight {w}")
     if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"edge ({i},{j}) outside 0..{n - 1}")
-    require_number(f"edge ({i},{j}) node", i, integer=True)
-    require_number(f"edge ({i},{j}) node", j, integer=True)
+        raise ValueError(f"{edge} outside 0..{n - 1}")
+    require_number(edge + " node", i, integer=True)
+    require_number(edge + " node", j, integer=True)
 
 
 def _assemble(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int) -> LaplacianMatrix:
@@ -97,25 +97,13 @@ def _assemble(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int) -> LaplacianM
     return LaplacianMatrix(L.reshape(n, n))
 
 
-def _all_of(kind, values) -> bool:
-    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
-
-
 def from_edge_list(edges, n: int) -> LaplacianMatrix:
-    """Build a Laplacian from (i, j, w) triples; duplicate edges are summed.
-    A vectorised screen flags the edges that fail a check; the first flagged
-    edge then raises its error as _check_edge words it."""
-    edges = [(i, j, w) for i, j, w in edges]
-    i, j, w = ([edge[k] for edge in edges] for k in range(3))
-    ij, flagged = np.array(i + j), np.ones(len(edges), bool)
-    if (ij.dtype.kind == "i" and _all_of(numbers.Integral, i + j)
-            and _all_of(numbers.Real, w)):
-        (i, j), w = ij.reshape(2, -1), np.array(w, float)
-        flagged = ((i == j) | ~(w > 0) | ~np.isfinite(w)
-                   | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
-    for k in np.flatnonzero(flagged):
-        _check_edge(*edges[k], n)
-    return _assemble(np.array(i, int), np.array(j, int), np.array(w, float), n)
+    """Build a Laplacian from (i, j, w) triples; duplicate edges are summed."""
+    edges = list(edges)
+    for i, j, w in edges:
+        _check_edge(i, j, w, n)
+    i, j, w = np.array(edges, float).reshape(-1, 3).T
+    return _assemble(i.astype(int), j.astype(int), w, n)
 
 
 def builder(kind: str, n: int, weight: float = 1.0) -> LaplacianMatrix:

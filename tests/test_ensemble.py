@@ -1,7 +1,6 @@
 import math
 import re
 import signal
-import time
 from unittest import mock
 
 import numpy as np
@@ -105,30 +104,51 @@ class TestDistribution:
 
     @pytest.mark.parametrize("lo,hi", [(5.0, 6.0), (10.0, 11.0), (-6.0, -5.0),
                                        (-11.0, -10.0)])
-    def test_far_tail_sampling_is_exact_and_fast(self, lo, hi):
+    def test_far_tail_sampling_is_exact_in_few_rounds(self, lo, hi):
+        class CountingRng:  # _robert's proposal rounds each take two uniform draws
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def random(self, size):
+                self.calls += 1
+                return self.rng.random(size)
+
         d = normal(0.0, 1.0, lo, hi)
-        t0 = time.perf_counter()
-        xs = d.sample(np.random.default_rng(5), 100_000)
-        assert time.perf_counter() - t0 < 0.1
+        rng = CountingRng(np.random.default_rng(5))
+        xs = d.sample(rng, 100_000)
+        assert rng.calls <= 2 * 5  # plain rejection would take over 1e5 rounds
         assert np.all((xs >= lo) & (xs <= hi))
         assert abs(xs.mean() - d.mean()) <= 4 * xs.std() / math.sqrt(xs.size)
 
-    def test_tail_mass_threshold(self):
-        # standardised [a, inf) with mass just above and just below 0.1: the
-        # first keeps the plain rejection stream, the second draws by Robert
-        assert ensemble._TAIL_MASS == 0.1
-        above, below = normal(0.0, 1.0, 1.28, 50.0), normal(0.0, 1.0, 1.29, 50.0)
-        assert above._window()[2] > 0.1 > below._window()[2]
+    def test_tail_mass_threshold(self, monkeypatch):
+        # standardised [a, 50] with mass just above and just below _TAIL_MASS:
+        # the first draws by plain rejection, the second by Robert
+        assert ensemble._TAIL_MASS == 1e-5
+        above, below = normal(0.0, 1.0, 4.26, 50.0), normal(0.0, 1.0, 4.27, 50.0)
+        assert above._window()[2] > 1e-5 > below._window()[2]
+        robert = mock.Mock(side_effect=lambda rng, a, b, size: np.full(size, a))
+        monkeypatch.setattr(ensemble, "_robert", robert)
+        rng = mock.Mock()
+        rng.normal.side_effect = lambda mu, sd, size: np.full(size, 4.5)
+        assert np.array_equal(above.sample(rng, 3), [4.5] * 3)
+        robert.assert_not_called()
+        assert np.array_equal(below.sample(rng, 3), [4.27] * 3)
+        robert.assert_called_once()
+
+    @pytest.mark.parametrize("lo,hi", [(2.0, 3.0), (-3.0, -2.0), (0.0, 0.01),
+                                       (3.5, 50.0)])
+    def test_windows_above_the_threshold_keep_the_rejection_stream(self, lo, hi):
+        # a moderate tail, its mirror, a narrow window at the mode and a window
+        # of mass 2.3e-4 draw exactly what the plain rejection loop draws
+        d = normal(0.0, 1.0, lo, hi)
         rng = np.random.default_rng(6)
         want = []
-        while len(want) < 50:
-            draw = rng.normal(0.0, 1.0, 50 - len(want))
-            want.extend(draw[(draw >= 1.28) & (draw <= 50.0)])
-        assert np.array_equal(above.sample(np.random.default_rng(6), 50), want)
-        assert np.array_equal(below.sample(np.random.default_rng(6), 50),
-                              ensemble._robert(np.random.default_rng(6), 1.29, 50.0, 50))
+        while len(want) < 5:
+            draw = rng.normal(0.0, 1.0, 5 - len(want))
+            want.extend(draw[(draw >= lo) & (draw <= hi)])
+        assert np.array_equal(d.sample(np.random.default_rng(6), 5), want)
 
-    @pytest.mark.parametrize("lo,hi", [(0.0, 0.01), (-0.02, 0.01), (-3.0, -2.5)])
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1e-5), (-1.5e-5, 0.5e-5), (-5.0, -4.5)])
     def test_robert_windows_near_and_below_the_mode(self, lo, hi):
         # narrow windows at the mode, and a lower tail drawn as a mirrored upper one
         d = normal(0.0, 1.0, lo, hi)
