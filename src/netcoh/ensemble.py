@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .ratfun import RationalFunction, harmonic_mean
 # keep the plain rejection stream.  Plain rejection capped at 1e5 rounds failed
 # a 1-draw sample at this mass in 3 of 8 seeds, and 10 draws in 8 of 8
 _TAIL_MASS = 1e-5
+_MILLS_DEPTH = 10.0  # mean() takes the Mills ratio beyond this depth of a window
 
 __all__ = [
     "Distribution",
@@ -88,13 +90,17 @@ class Distribution:
 
     def _window(self) -> tuple[float, float, float]:
         """Standardised bounds a, b and the mass between them, taken as
-        Phi(-a) - Phi(-b) in an upper tail, where Phi(b) - Phi(a) cancels."""
+        Phi(-a) - Phi(-b) in an upper tail, where Phi(b) - Phi(a) cancels.
+        Deeper than about 37.5 the mass underflows to 0, which still sends
+        sample() to _robert and mean() to the Mills ratio; a window is refused
+        only if its mass is 0 elsewhere or its near bound squared overflows."""
         a = (self.lo - self.mu) / self.sd
         b = (self.hi - self.mu) / self.sd
         Phi = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))
         mass = Phi(-a) - Phi(-b) if a > 0 else Phi(b) - Phi(a)
-        if mass <= 0:
-            raise ValueError(f"zero mass on [{self.lo}, {self.hi}]")
+        t = max(a, -b)  # the near bound's depth into its tail
+        if mass <= 0 and not (t > _MILLS_DEPTH and math.isfinite(t * t)):
+            raise ValueError(f"no representable mass on [{self.lo}, {self.hi}]")
         return a, b, mass
 
     def mean(self) -> float:
@@ -105,6 +111,13 @@ class Distribution:
         if self.sd == 0:
             return min(max(self.mu, self.lo), self.hi)
         a, b, mass = self._window()
+        t, u, sign = (a, b, 1) if a + b >= 0 else (-b, -a, -1)  # near, far bound
+        if t > _MILLS_DEPTH:  # 1e-15 where erfc's mass loses 1e-13 or underflows
+            # Mills ratio R = (1 - Phi) / phi by 16 terms of 1/(x + 1/(x + 2/(x + ..
+            R = lambda x: 1 / reduce(lambda f, k: x + k / f, range(16, 0, -1), x)
+            x = 0.5 * (u - t) * (u + t)  # phi(u) / phi(t) = exp(-x)
+            z = -math.expm1(-x) / (R(t) - math.exp(-x) * R(u))
+            return self.mu + sign * self.sd * z
         phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         return self.mu + self.sd * (phi(a) - phi(b)) / mass
 

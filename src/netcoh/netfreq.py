@@ -246,7 +246,7 @@ def _norm2(X: np.ndarray) -> float:
     """||X||_2 as sqrt(lambda_max(X^H X)), relative error about eps (Golub &
     Van Loan 8.6).  X is overwritten: scaled in place, exactly, by 2^-e with
     2^e at or above its largest entry, so X^H X neither overflows nor
-    underflows."""
+    underflows.  A real X stays real (its conj() is X itself): real LAPACK."""
     e = math.frexp(float(np.abs(X).max()))[1]
     for half in (e // 2, e - e // 2):  # 2.0 ** -e overflows for subnormal peaks
         X *= 2.0 ** -half
@@ -259,9 +259,13 @@ def _transfer(s: complex, ginv: np.ndarray, fv: complex, L: np.ndarray) -> np.nd
     and fv = f(s) at one point.  Where g_i(s) = 0 (g_i^{-1} infinite) this is
     the limit: row i of the inverted matrix is e_i and column i of T is 0, as
     row i of diag{g^{-1}} + f L scaled by g_i's numerator shows.  That limit
-    needs each node's numerator and denominator to have no common root at s."""
+    needs each node's numerator and denominator to have no common root at s.
+    At a real s, fv and ginv have zero imaginary parts (real coefficients, a
+    node zero is inf + 0j), so M and T are float64 and every solve is real."""
     if not cmath.isfinite(fv):
         raise SingularAtSError(f"s={s} is a pole of the coupling dynamics")
+    if fv.imag == 0 and not ginv.imag.any():
+        fv, ginv = fv.real, ginv.real
     live = np.isfinite(ginv)
     if not live.all() and np.any(ginv == 0):
         raise SingularAtSError(
@@ -281,9 +285,11 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
 
     Real coefficients give T(conj s) = conj T(s), so the closed loop is
     solved once per conjugate class (Re s, |Im s|), at its first point in
-    grid order, and later points reuse its norms.  At each point the checks
-    run coherent pole, coupling pole, singular matrix or node zero, then
-    majorants; a reused point passes the middle two as its class did.
+    grid order, and later points reuse its norms.  A class on the real axis
+    is solved in real arithmetic (_transfer), with a real coherent term.  At
+    each point the checks run coherent pole, coupling pole, singular matrix
+    or node zero, then majorants; a reused point passes the middle two as its
+    class did.
     """
     L, n = net.laplacian.entries, net.n
     ginv = _node_inverses(*net._rows, pts)
@@ -298,8 +304,9 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
         key = (s.real, abs(s.imag))
         if key not in solved:
             T = _transfer(s, row, fv, L)
+            coherent = gbar / n if np.iscomplexobj(T) else (gbar / n).real
             # T's last use is the second _norm2, which overwrites it
-            solved[key] = (_norm2(T - gbar / n), _norm2(T) if t_norm else None)
+            solved[key] = (_norm2(T - coherent), _norm2(T) if t_norm else None)
         measured, t = solved[key]
         if t_norm:
             t_norms.append(t)
@@ -323,6 +330,7 @@ def eval_T(net: NetworkModel, s: complex) -> np.ndarray:
     """Closed-loop transfer matrix T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1}.
 
     Where some g_i(s) = 0 it is the limit of that inverse: column i is 0.
+    float64 at a real s (imaginary part exactly 0), complex128 otherwise.
     """
     return _transfer(s, _node_inverses(*net._rows, [s])[0], net.coupling(s),
                      net.laplacian.entries)

@@ -457,7 +457,7 @@ class TestErrorsAndReproducibility:
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("concentrate", {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
-            "m": {"kind": "normal", "mean": 0, "sd": 1, "lo": 40, "hi": 41},
+            "m": {"kind": "normal", "mean": 0, "sd": 1, "lo": 1e155, "hi": 1e156},
             "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
         ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {
@@ -704,6 +704,16 @@ class TestErrorsAndReproducibility:
                            if not l.startswith("#")]
         assert strip(out_a / "concentration.csv") != \
             strip(out_b / "concentration.csv")
+
+    def test_inertias_from_a_window_whose_mass_underflows(self, tmp_path):
+        # normal(0, 1) on [40, 41] has mass 3.7e-350: drawn by Robert's sampler
+        cfg = {"ensemble": dict(CONCENTRATE_ENSEMBLE, params={
+            "m": {"kind": "normal", "mean": 0, "sd": 1, "lo": 40, "hi": 41},
+            "d": {"kind": "uniform", "lo": 1, "hi": 2}}),
+            "region": {"resolution": 3}, "sweep": {"sizes": [4, 8], "trials": 2}}
+        out = tmp_path / "out"
+        assert run("concentrate", write_cfg(tmp_path, cfg), out=str(out)) == 0
+        assert (out / "concentration.csv").stat().st_size > 0
 
 
 REGION5 = {"kind": "vertical_segment", "sigma": 0.1, "omega_range": [-1, 1],

@@ -86,25 +86,32 @@ class TestDistribution:
         assert np.array_equal(d.sample(np.random.default_rng(4), 500), want)
 
     def test_far_tail_truncation_fails_instead_of_hanging(self):
-        # a window whose mass underflows to 0 is refused before any draw
+        # a window whose arithmetic cannot be represented is refused before any
+        # draw: its near bound squared overflows (Robert's acceptance would be
+        # 0 forever), or its mass underflows to 0 outside the far tails
         def hang(signum, frame):
             raise TimeoutError("truncated-normal sampling did not return")
 
-        d = normal(0.0, 1.0, 40.0, 41.0)
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(20)
-        try:
-            with pytest.raises(ValueError, match=r"^zero mass on \[40\.0, 41\.0\]$"):
-                d.sample(np.random.default_rng(0), 1)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ValueError, match=r"^zero mass on \[40\.0, 41\.0\]$"):
-            d.mean()  # the tail mass underflows to 0
+        for lo, hi, text in [(1e155, 1e156, r"1e\+155, 1e\+156"),
+                             (-1e156, -1e155, r"-1e\+156, -1e\+155"),
+                             (0.0, 1e-320, r"0\.0, 1e-320")]:
+            d = normal(0.0, 1.0, lo, hi)
+            message = rf"^no representable mass on \[{text}\]$"
+            previous = signal.signal(signal.SIGALRM, hang)
+            signal.alarm(20)
+            try:
+                with pytest.raises(ValueError, match=message):
+                    d.sample(np.random.default_rng(0), 1)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            with pytest.raises(ValueError, match=message):
+                d.mean()
 
     @pytest.mark.parametrize("lo,hi", [(5.0, 6.0), (10.0, 11.0), (-6.0, -5.0),
-                                       (-11.0, -10.0)])
+                                       (-11.0, -10.0), (40.0, 41.0), (-41.0, -40.0)])
     def test_far_tail_sampling_is_exact_in_few_rounds(self, lo, hi):
+        # [40, 41] and its mirror have mass 3.7e-350, which underflows to 0
         class CountingRng:  # _robert's proposal rounds each take two uniform draws
             def __init__(self, rng):
                 self.rng, self.calls = rng, 0
@@ -161,10 +168,18 @@ class TestDistribution:
         (8.0, 9.0, 8.1211889929797971),  # mpmath, 60 digits
         (10.0, 11.0, 10.098068374933019),  # mass 7.6e-24
         (-9.0, -8.0, -8.1211889929797971),
+        (12.0, 12.01, 12.004899982688346),  # beyond _MILLS_DEPTH: the Mills ratio
+        (30.0, 31.0, 30.033259667433622),  # erfc loses 1.2e-13 here
+        (38.0, 39.0, 38.026279466575869),  # erfc is subnormal
+        (40.0, 41.0, 40.024968847207264),  # erfc underflows: mass 3.7e-350
+        (-41.0, -40.0, -40.024968847207264),
+        (40.0, 40.001, 40.000496666713999),
+        (100.0, 1e300, 100.00999800099926),
     ])
     def test_far_tail_mean(self, lo, hi, want):
         # Phi(b) - Phi(a) cancels in an upper tail; the mass is taken there as
-        # Phi(-a) - Phi(-b) instead
+        # Phi(-a) - Phi(-b) instead, and deeper than _MILLS_DEPTH the mean is
+        # taken from the Mills ratio, which does not underflow
         assert normal(0.0, 1.0, lo, hi).mean() == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_invalid_bounds(self):

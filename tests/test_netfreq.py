@@ -966,3 +966,76 @@ class TestGbarRealization:
         want = [np.linalg.norm(_oracle_T(net, s) - (s + 2) * np.ones((2, 2)), 2)
                 for s in region.points()]
         assert [r.measured for r in reports] == pytest.approx(want, rel=1e-12)
+
+
+def _real_point_net(n, coupling, zero_at, seed):
+    """Random proper nodes with monic denominators, a random coupling and a
+    random weighted graph; node 0 vanishes at the real point zero_at if given."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform
+
+    def node():
+        den = [u(0.5, 2.0) for _ in range(rng.integers(1, 3))] + [1.0]
+        return RF([u(0.5, 2.0) for _ in range(rng.integers(1, len(den) + 1))], den)
+
+    nodes = [node() for _ in range(n)]
+    if zero_at is not None:  # s - zero_at: Horner gives exactly 0 there
+        nodes[0] = RF([-zero_at, 1.0], [u(0.5, 2.0), u(0.5, 2.0), 1.0])
+    f = {"static": RF([u(0.5, 3.0)], [1]), "lag": RF([u(0.5, 3.0)], [1, u(0.5, 2.0)]),
+         "lead-lag": RF([u(0.5, 2.0), 1], [u(0.5, 2.0), 1])}[coupling]
+    W = np.triu(u(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    W += W.T
+    return NetworkModel(nodes, f, LaplacianMatrix(np.diag(W.sum(axis=1)) - W))
+
+
+class TestRealPoints:
+    """At a real s the nodes, the coupling and L have real coefficients, so
+    the kernel solves in float64 there."""
+
+    def test_eval_T_is_float64_at_a_real_point(self):
+        net = _kernel_net(1, ONE)  # node 5 vanishes at s = -0.5
+        for s in (0.3, 0.3 + 0j, complex(0.3, -0.0), -0.5):
+            assert eval_T(net, s).dtype == np.float64
+            assert np.allclose(eval_T(net, s), _oracle_T(net, s), rtol=1e-12,
+                               atol=1e-12 * np.abs(eval_T(net, s)).max())
+        assert np.all(eval_T(net, -0.5)[:, 5] == 0)
+        for s in (0.3 + 0.2j, 0.3j, 0.3 + 1e-300j):
+            assert eval_T(net, s).dtype == np.complex128
+
+    @given(st.integers(2, 12), st.sampled_from(["static", "lag", "lead-lag"]),
+           st.sampled_from([-0.1, 0.4, 1.5]), st.sampled_from([3, 5]),
+           st.sampled_from([None, 0, 1, 2]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_complex_recomputation(self, n, coupling, sigma,
+                                                 resolution, zero, seed):
+        region = FrequencyRegion("rect_grid", sigma, (-1.0, 1.0), resolution)
+        pts = region.points()
+        real = [s for s in pts if s.imag == 0]
+        assert len(real) == resolution
+        net = _real_point_net(n, coupling, None if zero is None else real[zero].real,
+                              seed)
+        reports, t_norms = transfer_norm_sweep(net, region)
+        for k, s in enumerate(pts):
+            if s.imag != 0:
+                continue
+            T = _oracle_T(net, s)  # complex128 throughout
+            assert T.dtype == np.complex128
+            inverses = [g.eval_inverse(s) for g in net.nodes]
+            gbar = n / sum(inverses) if np.isfinite(inverses).all() else 0j  # node zero
+            want = np.linalg.norm(T - gbar / n * np.ones((n, n)), 2)
+            assert reports[k].measured == pytest.approx(want, rel=1e-12, abs=0)
+            assert t_norms[k] == pytest.approx(np.linalg.norm(T, 2), rel=1e-12, abs=0)
+            if zero is not None and s == real[zero]:
+                assert not np.isfinite(netfreq._node_inverses(*net._rows, [s])).all()
+
+    def test_one_float64_class_per_alpha(self, monkeypatch):
+        dtypes = []
+        kernel = netfreq._transfer
+        monkeypatch.setattr(netfreq, "_transfer", lambda *a: dtypes.append(
+            kernel(*a).dtype) or kernel(*a))
+        net = NetworkModel([swing(1 + k % 3, 1 + k % 2) for k in range(20)], ONE,
+                           builder("ring", 20))
+        region = FrequencyRegion("vertical_segment", 0.0, (-1, 1), 9)
+        connectivity_sweep(net, region, [1.0, 10.0, 100.0])
+        # classes |omega| = 1, 0.75, 0.5, 0.25 and 0, in grid order
+        assert dtypes == [*[np.complex128] * 4, np.float64] * 3
