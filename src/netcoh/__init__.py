@@ -10,12 +10,10 @@ and power-grid aggregation.
 __version__ = "0.1.0"
 
 from .ratfun import (  # noqa: F401
-    PassivityCertificate,
     Polynomial,
     RationalFunction,
     StateSpaceModel,
     harmonic_mean,
-    passivity_check,
 )
 from .graph import LaplacianMatrix, builder, from_edge_list  # noqa: F401
 from .netfreq import (  # noqa: F401

@@ -263,9 +263,9 @@ def cmd_aggregate(cfg, digest, seed, out_dir, config_dir):
     net = _build_net(cfg, config_dir)
     region = _build_region(cfg)
     aggr = netfreq.aggregate_dynamics(net)
-    reports, t_norms = netfreq.transfer_norm_sweep(net, region)
-    rows = [(r.s.real, r.s.imag, t, abs(net.n * aggr(r.s)), r.measured)
-            for r, t in zip(reports, t_norms)]
+    reports, t_norms, gains = netfreq.transfer_norm_sweep(net, region)
+    rows = [(r.s.real, r.s.imag, t, g, r.measured)
+            for r, t, g in zip(reports, t_norms, gains)]
     _write_text(out_dir / "aggregate.txt", [aggr.serialize() + "\n"])
     _write_csv(out_dir / "aggregate_compare.csv",
                "s_re,s_im,t_norm,coherent_gain,incoherence", rows,

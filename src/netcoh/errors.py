@@ -78,7 +78,7 @@ class DisconnectedError(NetcohError):
 # --- time domain ---
 
 class AlgebraicLoopSingularError(NetcohError):
-    pass
+    """A feedback's direct-feedthrough loop I + D_G D_H has condition number above 1e12."""
 
 
 class UnstableModelError(NetcohError):
@@ -86,7 +86,7 @@ class UnstableModelError(NetcohError):
 
 
 class LengthMismatchError(NetcohError):
-    pass
+    """An input shape or inertia vector whose length is not the input or node count."""
 
 
 class NotIntegratorCouplingError(NetcohError, ValueError):

@@ -281,7 +281,7 @@ def _transfer(s: complex, ginv: np.ndarray, fv: complex, L: np.ndarray) -> np.nd
 
 def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
     """Incoherence reports at pts, with the norm bound when M1 and M2 are
-    given, and ||T(s)||_2 at each point when t_norm.
+    given, and ||T(s)||_2 and |gbar(s)| at each point when t_norm.
 
     Real coefficients give T(conj s) = conj T(s), so the closed loop is
     solved once per conjugate class (Re s, |Im s|), at its first point in
@@ -295,7 +295,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
     ginv = _node_inverses(*net._rows, pts)
     bounded = M1 is not None and M2 is not None
     lam2 = net.laplacian.lambda2
-    reports, t_norms, solved = [], [], {}
+    reports, t_norms, gains, solved = [], [], [], {}
     for s, row, gbar in zip(pts, ginv, _gbar_values(net, pts, ginv).tolist()):
         if not cmath.isfinite(gbar):
             raise CoherentPoleAtSError(
@@ -310,6 +310,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
         measured, t = solved[key]
         if t_norm:
             t_norms.append(t)
+            gains.append(abs(gbar))
         eff = abs(fv) * lam2
         if not bounded:
             reports.append(IncoherenceReport(s, measured, eff))
@@ -323,7 +324,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
         valid = eff > threshold
         bound = (M1 * M2 + 1.0) ** 2 / (eff - threshold) if valid else None
         reports.append(IncoherenceReport(s, measured, eff, bound, valid))
-    return reports, t_norms
+    return reports, t_norms, gains
 
 
 def eval_T(net: NetworkModel, s: complex) -> np.ndarray:
@@ -389,14 +390,14 @@ def sweep_region(net: NetworkModel, region: FrequencyRegion,
 
     When majorants are supplied each report carries the norm bound.
     """
-    reports, _ = _sweep(net, region.points(), M1, M2)
+    reports = _sweep(net, region.points(), M1, M2)[0]
     return reports, max(r.measured for r in reports)
 
 
 def transfer_norm_sweep(net: NetworkModel, region: FrequencyRegion,
-                        ) -> tuple[list[IncoherenceReport], list[float]]:
-    """sweep_region's reports and ||T(s)||_2 at every grid point, both
-    from the same solve."""
+                        ) -> tuple[list[IncoherenceReport], list[float], list[float]]:
+    """sweep_region's reports, ||T(s)||_2 and the coherent gain |gbar(s)| at
+    every grid point: the norms from one solve, gbar from the same evaluation."""
     return _sweep(net, region.points(), t_norm=True)
 
 
@@ -451,7 +452,7 @@ def pole_approach_sweep(net: NetworkModel, pole_of_f: complex,
     f_poles = net.coupling.poles()
     if not any(abs(p - pole_of_f) < 1e-7 for p in f_poles):
         raise ValueError(f"{pole_of_f} is not a pole of the coupling")
-    reports, _ = _sweep(net, [pole_of_f + r for r in radii])
+    reports = _sweep(net, [pole_of_f + r for r in radii])[0]
     return [(float(r), rep.measured) for r, rep in zip(radii, reports)]
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "StateSpaceModel",
-    "PassivityCertificate",
     "harmonic_mean",
     "harmonic_realization",
     "stack",
@@ -460,70 +459,3 @@ def _guarded_inverse(M: np.ndarray, error, message: str) -> np.ndarray:
     if np.linalg.cond(M) > _COND_LIMIT:
         raise error(message)
     return np.linalg.inv(M) if T is None else T
-
-
-@dataclass(frozen=True)
-class PassivityCertificate:
-    """Numerical passivity certificate; the grid used is part of the record."""
-
-    kind: str  # "positive_real" | "output_strictly_passive" | "fails"
-    epsilon: float
-    witness: complex | None
-    grid_resolution: str
-
-
-def _rhp_boundary_grid(n_freq: int = 64) -> tuple[list[complex], str]:
-    omegas = np.concatenate(([0.0], np.logspace(-3, 3, n_freq)))
-    pts = [complex(sig, w) for sig in (0.0, 1e-6) for w in omegas]
-    desc = (f"{n_freq} log-spaced omega in [1e-3, 1e3] plus omega=0, "
-            "Re(s) in {0, 1e-6}")
-    return pts, desc
-
-
-def passivity_check(r: RationalFunction, mode: str) -> PassivityCertificate:
-    """Certify positive-realness or output strict passivity on a grid.
-
-    positive_real: Re(r(s)) >= 0 on the sampled right-half-plane boundary,
-    no poles with Re > 0, simple imaginary-axis poles allowed.
-    osp: Re(r(s)) >= eps |r(s)|^2 with eps > 0; no imaginary-axis poles.
-    """
-    if mode not in ("positive_real", "osp"):
-        raise ValueError(f"unknown passivity mode {mode!r}")
-    if not r.is_proper:
-        raise ImproperError("passivity check requires a proper function")
-    grid, desc = _rhp_boundary_grid()
-
-    poles = r.poles()
-    for p in poles:
-        if p.real > 1e-9:
-            return PassivityCertificate("fails", 0.0, p, desc)
-        if abs(p.real) <= 1e-9:
-            if mode == "osp":
-                return PassivityCertificate("fails", 0.0, p, desc)
-            if sum(1 for q in poles if abs(q - p) < 1e-6) > 1:
-                return PassivityCertificate("fails", 0.0, p, desc)
-
-    eps = math.inf
-    for s in grid:
-        if any(abs(s - p) < 1e-9 for p in poles):
-            continue
-        v = r(s)
-        if mode == "positive_real":
-            if v.real < -1e-12:
-                return PassivityCertificate("fails", 0.0, s, desc)
-        else:
-            mag2 = abs(v) ** 2
-            if mag2 == 0:
-                continue
-            ratio = v.real / mag2
-            if ratio < eps:
-                eps = ratio
-    if mode == "positive_real":
-        return PassivityCertificate("positive_real", 0.0, None, desc)
-    if eps > 0 and math.isfinite(eps):
-        return PassivityCertificate("output_strictly_passive", eps, None, desc)
-    worst = min(
-        (s for s in grid if not any(abs(s - p) < 1e-9 for p in poles)),
-        key=lambda s: r(s).real / max(abs(r(s)) ** 2, 1e-300),
-    )
-    return PassivityCertificate("fails", 0.0, worst, desc)

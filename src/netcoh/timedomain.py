@@ -20,28 +20,24 @@ from .errors import (
     DisconnectedError,
     LengthMismatchError,
     NotIntegratorCouplingError,
-    SingularAtSError,
     UnstableModelError,
 )
-from .netfreq import FrequencyRegion, NetworkModel
+from .netfreq import NetworkModel
 from .ratfun import RationalFunction, StateSpaceModel, feedback, stack
 
 __all__ = [
     "InputSignal",
     "SimulationResult",
     "default_shape",
-    "StabilityCertificate",
     "assemble_closed_loop",
     "simulate",
     "coherence_realization",
     "coi_frequency",
-    "stability_check",
     "coherence_experiment",
     "frequency_dependence_experiment",
 ]
 
 _UNSTABLE_TOL = 1e-6
-_MARGINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +89,6 @@ class SimulationResult:
         if self.coherent_output is None:
             raise ValueError("coherent reference output missing")
         return float(np.max(np.abs(self.node_outputs - self.coherent_output)))
-
-
-@dataclass(frozen=True, eq=False)
-class StabilityCertificate:
-    stable: bool
-    max_re_eigenvalue: float
-    gamma_hinf: float | None = None
 
 
 def assemble_closed_loop(net: NetworkModel) -> StateSpaceModel:
@@ -203,43 +192,6 @@ def _inertia_weights(inertias, n: int) -> np.ndarray:
     if not np.all(m > 0):
         raise ValueError(f"inertias must be positive, got {m.tolist()}")
     return m
-
-
-def _pbh_in_y_path(model: StateSpaceModel, lam: complex) -> bool:
-    """True when eigenvalue lam is both controllable and observable."""
-    n = model.order
-    ctrl = np.hstack([model.A - lam * np.eye(n), model.B])
-    obs = np.vstack([model.A - lam * np.eye(n), model.C])
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(model.A)))
-    s_ctrl = np.linalg.svd(ctrl, compute_uv=False)
-    s_obs = np.linalg.svd(obs, compute_uv=False)
-    return s_ctrl[-1] > tol and s_obs[-1] > tol
-
-
-def stability_check(model: StateSpaceModel,
-                    freq_grid: FrequencyRegion | None = None,
-                    ) -> StabilityCertificate:
-    """Eigenvalue-based stability certificate with an H-infinity grid estimate.
-
-    Marginal integrator modes (|lambda| < 1e-9) are excluded when a PBH test
-    shows them uncontrollable or unobservable in the y-path.
-    """
-    relevant = []
-    for lam in np.linalg.eigvals(model.A):
-        if abs(lam) < _MARGINAL_TOL and not _pbh_in_y_path(model, lam):
-            continue
-        relevant.append(lam)
-    max_re = float(max((l.real for l in relevant), default=-math.inf))
-    stable = max_re < -_MARGINAL_TOL
-    gamma = None
-    for s in [] if freq_grid is None else freq_grid.points():
-        try:
-            norm = float(np.linalg.norm(model.response(s), 2))
-        except np.linalg.LinAlgError:  # s I - A is singular
-            raise SingularAtSError(f"s={s} is a pole of the model") from None
-        gamma = norm if gamma is None else max(gamma, norm)
-    return StabilityCertificate(stable=stable, max_re_eigenvalue=max_re,
-                                gamma_hinf=gamma)
 
 
 def coherence_experiment(net: NetworkModel, input_signal: InputSignal,

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -396,6 +397,36 @@ class TestAggregate:
         assert run("aggregate", write_cfg(tmp_path, cfg), out=str(out)) == 3
         assert capsys.readouterr().err.startswith("error: kind=SingularAtS detail=")
         assert not out.exists()
+
+    def test_coherent_gain_at_forty_turbine_nodes(self, tmp_path):
+        # |gbar(s)| = n / |sum_i g_i^{-1}(s)|, the sum taken exactly in Fraction
+        # complex arithmetic at each float grid point, then one float sqrt;
+        # Horner on the expanded degree-80 aggregate loses digits at this n
+        net = _turbine_ring(np.random.default_rng(40), 40, 1.0)
+        cfg = {"net": net, "region": {"kind": "vertical_segment", "sigma": 0.0,
+                                      "omega_range": [-2, 2], "resolution": 17}}
+        assert run("aggregate", write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+        rows = [line.split(",") for line in
+                read_artifact(tmp_path, "aggregate_compare.csv").splitlines()
+                if not line.startswith("#")][1:]
+        assert len(rows) == 17
+
+        def at(coeffs, s_re, s_im):
+            re, im = Fraction(0), Fraction(0)
+            for c in reversed(coeffs):
+                re, im = re * s_re - im * s_im + Fraction(c), re * s_im + im * s_re
+            return re, im
+
+        for row in rows:
+            s_re, s_im = Fraction(float(row[0])), Fraction(float(row[1]))
+            total_re, total_im = Fraction(0), Fraction(0)
+            for g in net["nodes"]:
+                (n_re, n_im), (d_re, d_im) = (at(g[k], s_re, s_im) for k in ("num", "den"))
+                mag2 = n_re * n_re + n_im * n_im
+                total_re += (d_re * n_re + d_im * n_im) / mag2
+                total_im += (d_im * n_re - d_re * n_im) / mag2
+            want = math.sqrt(40 ** 2 / (total_re * total_re + total_im * total_im))
+            assert float(row[3]) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_one_exact_sum(self, tmp_path, exact_sums):
         cfg = {"net": SWING_NET, "region": {"resolution": 3}}

@@ -546,7 +546,7 @@ class TestGridKernel:
         gbar = net.gbar
         want = np.array([[np.linalg.norm(_oracle_T(net, s) - c * np.ones((6, 6)), 2)
                           for c in (0, gbar(s) / net.n)] for s in pts])
-        reports, t_norms = transfer_norm_sweep(net, region)
+        reports, t_norms, _ = transfer_norm_sweep(net, region)
         assert np.allclose(t_norms, want[:, 0], rtol=1e-12, atol=0)
         assert np.allclose([r.measured for r in reports], want[:, 1],
                            rtol=1e-12, atol=0)
@@ -726,7 +726,7 @@ def test_well_conditioned_sweeps_run_no_svd(monkeypatch):
                        builder("ring", 50))
     region = FrequencyRegion("vertical_segment", 0.1, (-2, 2), 9)
     rows = connectivity_sweep(net, region, [1.0, 10.0, 100.0])
-    reports, t_norms = transfer_norm_sweep(net, region)
+    reports, t_norms, _ = transfer_norm_sweep(net, region)
     assert len(rows) == 3 and all(len(r.reports) == 9 for r in rows)
     assert len(reports) == len(t_norms) == 9
     assert calls == []
@@ -864,7 +864,7 @@ class TestConjugateReuse:
             assert type(swept.value) is type(exc)
             assert str(swept.value) == str(exc)
             return
-        reports, t_norms = transfer_norm_sweep(net, region)
+        reports, t_norms, _ = transfer_norm_sweep(net, region)
         got = np.array([[r.measured for r in reports], t_norms]).T
         assert [r.measured for r in sweep_region(net, region)[0]] == list(got[:, 0])
         assert np.allclose(got, lone, rtol=1e-14, atol=0)
@@ -897,7 +897,7 @@ class TestConjugateReuse:
         real = netfreq._transfer
         monkeypatch.setattr(netfreq, "_transfer", lambda *a: fallbacks.append(
             not np.isfinite(a[1]).all()) or real(*a))
-        reports, t_norms = transfer_norm_sweep(net, region)
+        reports, t_norms, _ = transfer_norm_sweep(net, region)
         monkeypatch.undo()
         assert sum(fallbacks) == 1  # the fallback, once for the pair
         for k in (4, 12):
@@ -917,7 +917,7 @@ class TestConjugateReuse:
                             lambda *a: solved.append(a[0]) or real(*a))
         net = NetworkModel([swing(1 + k % 3, 1 + k % 2) for k in range(50)], ONE,
                            builder("ring", 50))
-        reports, t_norms = transfer_norm_sweep(net, region)
+        reports, t_norms, _ = transfer_norm_sweep(net, region)
         pts = region.points()
         assert len(reports) == len(t_norms) == len(pts)
         first = {}
@@ -1014,7 +1014,7 @@ class TestRealPoints:
         assert len(real) == resolution
         net = _real_point_net(n, coupling, None if zero is None else real[zero].real,
                               seed)
-        reports, t_norms = transfer_norm_sweep(net, region)
+        reports, t_norms, _ = transfer_norm_sweep(net, region)
         for k, s in enumerate(pts):
             if s.imag != 0:
                 continue

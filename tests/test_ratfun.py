@@ -22,7 +22,6 @@ from netcoh.ratfun import (
     StateSpaceModel,
     feedback,
     harmonic_mean,
-    passivity_check,
     poly_gcd,
     poly_roots,
 )
@@ -603,42 +602,6 @@ class TestFeedback:
         H = StateSpaceModel([[-4.0]], [[1.0]], [[1.0]], [[-1.0]])
         with pytest.raises(AlgebraicLoopSingularError):
             feedback(G, H)
-
-
-class TestPassivity:
-    def test_first_order_lag_is_osp(self):
-        cert = passivity_check(rf([1], [1, 1]), "osp")
-        assert cert.kind == "output_strictly_passive"
-        # Re(g)/|g|^2 = Re(s)+1, grid infimum 1
-        assert cert.epsilon == pytest.approx(1.0, abs=1e-9)
-
-    def test_integrator_is_positive_real(self):
-        cert = passivity_check(rf([1], [0, 1]), "positive_real")
-        assert cert.kind == "positive_real"
-
-    @pytest.mark.parametrize("mode", ["osp", "positive_real"])
-    def test_unstable_pole_fails(self, mode):
-        cert = passivity_check(rf([1], [-1, 1]), mode)
-        assert cert.kind == "fails"
-        assert cert.witness == pytest.approx(1.0)
-
-    def test_grid_recorded(self):
-        cert = passivity_check(rf([1], [1, 1]), "osp")
-        assert "log-spaced" in cert.grid_resolution
-
-    def test_osp_failure_reports_worst_grid_point(self):
-        # all-pass (1 - s)/(1 + s): Re r / |r|^2 = (1 - w^2)/(1 + w^2) on the
-        # imaginary axis, most negative at the top of the grid, w = 1e3
-        r = rf([1, -1], [1, 1])
-        cert = passivity_check(r, "osp")
-        assert (cert.kind, cert.epsilon) == ("fails", 0.0)
-        assert cert.witness.imag == pytest.approx(1e3)
-        assert r(cert.witness).real < -0.99
-
-    def test_repeated_imaginary_axis_pole_fails(self):
-        cert = passivity_check(rf([1], [0, 0, 1]), "positive_real")
-        assert cert.kind == "fails"
-        assert cert.witness == pytest.approx(0.0)
 
 
 class TestSerialization:

@@ -10,11 +10,10 @@ from netcoh.errors import (
     DisconnectedError,
     LengthMismatchError,
     NotIntegratorCouplingError,
-    SingularAtSError,
     UnstableModelError,
 )
 from netcoh.graph import builder, from_edge_list
-from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
+from netcoh.netfreq import NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
 from netcoh.ratfun import StateSpaceModel
 from netcoh.timedomain import (
@@ -28,7 +27,6 @@ from netcoh.timedomain import (
     default_shape,
     frequency_dependence_experiment,
     simulate,
-    stability_check,
 )
 
 ONE = RF([1], [1])
@@ -157,8 +155,6 @@ class TestSimulate:
         assert ss.order == 0
         response = ss.response(0.5j)
         assert response.dtype == complex and response.tolist() == [[2 + 0j]]
-        cert = stability_check(ss)
-        assert cert.stable and cert.max_re_eigenvalue == -math.inf
         res = simulate(ss, InputSignal("step", [1.0]), 1.0, dt=0.25)
         assert res.node_outputs.tolist() == [[2.0] * 5]
 
@@ -430,40 +426,6 @@ class TestCoi:
         assert res.coi_output is not None
         coi_dev = np.max(np.abs(res.coi_output - res.coherent_output))
         assert coi_dev < res.deviation_linf
-
-
-class TestStability:
-    def test_stable_first_order(self):
-        cert = stability_check(RF([1], [1, 1]).to_state_space())
-        assert cert.stable and type(cert.stable) is bool
-        assert cert.max_re_eigenvalue == pytest.approx(-1.0)
-
-    def test_unstable_detected(self):
-        cert = stability_check(RF([1], [-2, 1]).to_state_space())
-        assert not cert.stable and type(cert.stable) is bool
-        assert cert.max_re_eigenvalue == pytest.approx(2.0)
-
-    def test_marginal_integrator_mode_excluded(self):
-        # integrator coupling on a connected swing network: the closed loop
-        # carries a zero eigenvalue that never reaches the output
-        net = NetworkModel([swing(1, 1), swing(2, 1.5)], INTEGRATOR,
-                           builder("path", 2))
-        model = assemble_closed_loop(net)
-        cert = stability_check(model)
-        assert cert.stable and type(cert.stable) is bool
-        assert cert.max_re_eigenvalue < 0
-
-    def test_hinf_gamma_bounds_grid(self):
-        model = RF([1], [1, 1]).to_state_space()
-        region = FrequencyRegion("vertical_segment", 0.0, (-10, 10), 41)
-        cert = stability_check(model, region)
-        assert cert.gamma_hinf == pytest.approx(1.0, abs=1e-6)
-
-    def test_pole_on_grid_is_a_typed_error(self):
-        # the grid passes through the pole s = -1, where sI - A is singular
-        region = FrequencyRegion("vertical_segment", -1.0, (-1, 1), 3)
-        with pytest.raises(SingularAtSError, match=r"^s=\(-1\+0j\) is a pole"):
-            stability_check(RF([1], [1, 1]).to_state_space(), region)
 
 
 class TestFrequencyDependence:
