@@ -23,6 +23,8 @@ import sys
 from itertools import chain, repeat
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, ensemble, graph, netfreq, timedomain
 from .errors import (DisconnectedError, NetcohError, UnstableModelError,
                      require_number)
@@ -35,6 +37,9 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_UNSTABLE = 4
 EXIT_IO = 5
+
+# simulate's samples become Python floats 1024 rows at a time: ~0.3 MiB at 7 columns
+_SIM_BLOCK_ROWS = 1024
 
 
 def _load_config(path: str) -> tuple[dict, str]:
@@ -219,9 +224,13 @@ def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
         f"dt={dt}", f"input_family={sig.family}", f"input_alpha={sig.alpha}",
     ]
     header = "t," + ",".join(f"y_{i + 1}" for i in range(net.n)) + ",ybar,ycoi"
-    coi = repeat(None) if res.coi_output is None else res.coi_output.tolist()
-    rows = zip(res.times.tolist(), *res.node_outputs.tolist(),
-               res.coherent_output.tolist(), coi)
+    coi = [] if res.coi_output is None else [res.coi_output]
+    cols = [res.times, *res.node_outputs, res.coherent_output, *coi]
+    rows = chain.from_iterable(
+        np.column_stack([c[lo:lo + _SIM_BLOCK_ROWS] for c in cols]).tolist()
+        for lo in range(0, len(res.times), _SIM_BLOCK_ROWS))
+    if not coi:
+        rows = map(list.__add__, rows, repeat([None]))  # an empty ycoi cell
     _write_csv(out_dir / "simulation.csv", header, rows, meta)
     return ["simulation.csv"]
 

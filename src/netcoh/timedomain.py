@@ -156,7 +156,7 @@ def simulate(model: StateSpaceModel, input_signal: InputSignal,
         raise ValueError("need dt > 0 and t_end > dt")
 
     steps = int(round(t_end / dt))
-    times = np.arange(steps + 1) * dt
+    times = np.arange(steps + 1) * float(dt)  # float64 for an int dt too
     A_w, w0, c = input_signal.generator()
     nx = model.order
     shape_c = np.outer(input_signal.shape, c)

@@ -155,9 +155,11 @@ class TestSimulate:
         assert float(first[0]) == 0.0
         assert first[5] != ""
 
-    @pytest.mark.parametrize("inertias", [None, [1.0, 2.0, 1.2]])
-    def test_rows_are_sample_reprs(self, tmp_path, inertias):
-        sim = {"t_end": 1.0, "dt": 0.1}
+    @staticmethod
+    def _rows_and_oracle(tmp_path, t_end, dt, inertias):
+        """simulation.csv's header and data rows, and the same rows built from
+        repr of the floats of a direct coherence_experiment run."""
+        sim = {"t_end": t_end, "dt": dt}
         if inertias is not None:
             sim["inertias"] = inertias
         cfg = {"net": SWING_NET, "simulate": sim,
@@ -167,7 +169,7 @@ class TestSimulate:
         res = timedomain.coherence_experiment(
             _build_net(cfg, tmp_path),
             timedomain.InputSignal("sinusoid", [1.0, 0.0, -1.0], 2.0),
-            1.0, 0.1, inertias=inertias)
+            t_end, dt, inertias=inertias)
         want = []
         for k, t in enumerate(res.times):
             cells = [float(t)] + [float(y) for y in res.node_outputs[:, k]]
@@ -175,7 +177,54 @@ class TestSimulate:
             coi = "" if inertias is None else repr(float(res.coi_output[k]))
             want.append(",".join([repr(c) for c in cells] + [coi]))
         lines = read_artifact(tmp_path, "simulation.csv").strip("\n").split("\n")
-        assert lines[-len(want) - 1:] == ["t,y_1,y_2,y_3,ybar,ycoi"] + want
+        return lines[-len(want) - 1:], ["t,y_1,y_2,y_3,ybar,ycoi"] + want
+
+    @pytest.mark.parametrize("inertias", [None, [1.0, 2.0, 1.2]])
+    def test_rows_are_sample_reprs(self, tmp_path, inertias):
+        got, want = self._rows_and_oracle(tmp_path, 1.0, 0.1, inertias)
+        assert got == want
+
+    @pytest.mark.parametrize("inertias", [None, [1.0, 2.0, 1.2]])
+    @pytest.mark.parametrize("rows", [4 - 1, 4, 4 + 1, 2 * 4 + 1])
+    def test_block_boundaries_keep_rows(self, tmp_path, monkeypatch, rows, inertias):
+        # rows are made from the sample arrays 4 at a time: a short last
+        # block, an exact fit and one spare row each give the oracle's rows
+        monkeypatch.setattr(cli, "_SIM_BLOCK_ROWS", 4)
+        got, want = self._rows_and_oracle(tmp_path, (rows - 1) * 0.25, 0.25, inertias)
+        assert len(want) == rows + 1
+        assert got == want
+
+    def test_integer_dt_writes_float_times(self, tmp_path):
+        # "dt": 1 and "dt": 1.0 are one sampling interval: the t column
+        # reads 0.0, 1.0, ... for both
+        data = []
+        for dt in (1, 1.0):
+            cfg = {"net": SWING_NET, "simulate": {"t_end": 5.0, "dt": dt}}
+            out = tmp_path / repr(dt)
+            assert run("simulate", write_cfg(tmp_path, cfg), out=str(out)) == 0
+            lines = read_artifact(out, "simulation.csv").splitlines()
+            data.append([l for l in lines if not l.startswith("#")])
+        assert data[0] == data[1]
+        assert [l.split(",")[0] for l in data[0][1:]] == [
+            "0.0", "1.0", "2.0", "3.0", "4.0", "5.0"]
+
+    def test_command_memory_is_bounded(self, tmp_path):
+        # 10^5 rows: the rows become Python floats one block at a time, so
+        # the command's peak stays near the sampling's own (the samples and
+        # their transposed copy), not the 4x of every sample as a float object
+        cfg = {"net": SWING_NET, "simulate": {"t_end": 100.0, "dt": 1e-3,
+                                              "inertias": [1.0, 2.0, 1.2]}}
+        path = write_cfg(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            assert run("simulate", path, out=str(tmp_path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = read_artifact(tmp_path, "simulation.csv").splitlines()
+        assert sum(not l.startswith("#") for l in lines) == 1 + 100001
+        arrays = 100001 * 6 * 8  # t, y_1..y_3, ybar and ycoi as float64
+        assert peak < 1.5 * arrays + 2 * 2**20
 
     def test_unstable_exit_4(self, tmp_path):
         cfg = {
