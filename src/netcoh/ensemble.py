@@ -4,9 +4,9 @@ Node transfer functions are drawn i.i.d. from a parameterized family with
 per-coefficient distributions.  Sampling uses counter-based RNG streams
 (seed plus stream index) so trials are reproducible and order-independent.
 Sampled nodes are float rows of ascending coefficients; a size's trials are
-stacked into one batch, which one blocked ``_inverse_sum`` call (a block per
-trial) and one vectorised sup evaluate over the whole grid at once.  Exact
-algebra is formed by ``sample_nodes`` only.
+stacked into one batch: one blocked ``_inverse_sum`` (a block per trial), one
+sup.  A failed float sum takes netfreq's realization fallback, the full network
+its per-class loop; exact algebra is formed by ``sample_nodes`` only.
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ from functools import reduce
 import numpy as np
 
 from . import netfreq
-from .errors import NotAffineError, require_increasing, require_number
-from .netfreq import (
-    FrequencyRegion,
-    _inverse_sum,
-    _node_inverses,
-    _pad,
-    _transfer,
-)
-from .ratfun import RationalFunction, harmonic_mean
+from .errors import (CoherentPoleAtSError, NotAffineError, require_increasing,
+                     require_number)
+from .netfreq import (FrequencyRegion, _class_norms, _gbar_values, _inverse_sum,
+                      _node_inverses, _pad)
+from .ratfun import INFINITY, RationalFunction, harmonic_realization
 
 # a truncated normal with less mass than this draws by _robert; heavier windows
 # keep the plain rejection stream.  Plain rejection capped at 1e5 rounds failed
@@ -292,7 +288,9 @@ def _ghat_on_grid(spec, region):
         ghat = expected_coherent(spec)
     except NotAffineError:
         num, den = _sample_coeffs(spec, 10_000, 2**31 - 1)
-        return pts, len(num) / _inverse_sum(num, den, pts, [0])[0]
+        total = _inverse_sum(num, den, pts, [0])[0]
+        return pts, np.divide(len(num), total, out=np.full(total.shape, INFINITY),
+                              where=total != 0)
     return pts, np.array([ghat(s) for s in pts])
 
 
@@ -310,6 +308,8 @@ def _run_concentration(spec, region, sizes, trials, epsilon,
                          f"sizes={sizes}")
     require_increasing("sizes", sizes)
     pts, ghat_vals = _ghat_on_grid(spec, region)
+    if not np.isfinite(ghat_vals).all():
+        raise CoherentPoleAtSError("a pole of ghat is on the grid; deviation undefined")
     devs = []
     for size_idx, n in enumerate(sizes):
         streams = [_trial_stream(size_idx, trial) for trial in range(trials)]
@@ -335,12 +335,11 @@ def concentration_experiment(spec: EnsembleSpec, region: FrequencyRegion,
         inv = _inverse_sum(num, den, pts, range(0, len(num), n))
         ok = np.isfinite(inv) & (inv != 0)
         gbar_n = np.divide(n, inv, out=np.zeros_like(inv), where=ok)
-        dev = np.max(np.abs(gbar_n - ghat_vals), axis=1)
-        # a node zero (gbar_n = 0) or a pole of gbar_n on the grid: exact
+        # a node zero (gbar_n = 0) or a pole of gbar_n on the grid
         for t in np.flatnonzero(~ok.all(axis=1)):
-            exact = harmonic_mean(sample_nodes(spec, n, streams[t]))
-            dev[t] = max(abs(exact(s) - gv) for s, gv in zip(pts, ghat_vals))
-        return dev
+            gbar_n[t] = _gbar_values(n, pts, inv[t], lambda t=t: harmonic_realization(
+                sample_nodes(spec, n, streams[t])))
+        return np.max(np.abs(gbar_n - ghat_vals), axis=1)
 
     return _run_concentration(spec, region, sizes, trials, epsilon, deviations)
 
@@ -354,15 +353,14 @@ def full_network_concentration(spec: EnsembleSpec, region: FrequencyRegion,
     coupling absorbed into L (f = 1).
     """
     def deviations(n, streams, num, den, pts, ghat_vals):
-        L = n * np.eye(n) - 1.0  # the complete graph's Laplacian nI - 11^T
+        L, ones = n * np.eye(n) - 1.0, [1.0] * len(pts)  # L = nI - 11^T, f = 1
         for t, stream in enumerate(streams):
             ginv = _node_inverses(num[t * n:(t + 1) * n], den[t * n:(t + 1) * n], pts)
             if np.isinf(ginv).any():  # a node zero: _transfer's limit needs reduced nodes
                 nodes = sample_nodes(spec, n, stream)
                 ginv = _node_inverses(_pad([g.num for g in nodes]),
                                       _pad([g.den for g in nodes]), pts)
-            yield max(np.linalg.norm(_transfer(s, row, 1.0, L) - gv / n, 2)
-                      for s, row, gv in zip(pts, ginv, ghat_vals))
+            yield max(dev for dev, _ in _class_norms(pts, ginv, ghat_vals, ones, L))
 
     return _run_concentration(spec, region, sizes, trials, epsilon, deviations)
 

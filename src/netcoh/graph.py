@@ -45,11 +45,11 @@ class LaplacianMatrix:
         n = entries.shape[0]
         if entries.shape != (n, n) or n < 1:
             raise ValueError("Laplacian must be a square matrix of order >= 1")
-        norm = np.linalg.norm(entries)
+        norm = np.sqrt((entries ** 2).sum())  # Frobenius norms throughout
         if norm > 0:
-            if np.linalg.norm(entries - entries.T) > 1e-12 * norm:
+            if np.sqrt(((entries - entries.T) ** 2).sum()) > 1e-12 * norm:
                 raise ValueError("Laplacian must be symmetric")
-            if np.linalg.norm(entries @ np.ones(n)) > 1e-10 * norm:
+            if np.sqrt(((entries @ np.ones(n)) ** 2).sum()) > 1e-10 * norm:
                 raise ValueError("Laplacian rows must sum to zero")
         if eigenvalues is None:
             eigenvalues = _spectrum(entries)

@@ -227,16 +227,16 @@ def _inverse_sum(num: np.ndarray, den: np.ndarray, pts, blocks) -> np.ndarray:
     return total
 
 
-def _gbar_values(net: NetworkModel, pts, ginv: np.ndarray) -> np.ndarray:
-    """gbar(s_k) = n / sum_i g_i^{-1}(s_k) in floats; where that sum is not finite
-    (a node zero) or 0, n times net.gbar_model's response, infinite at its poles."""
-    total = ginv.sum(axis=1)
+def _gbar_values(n: int, pts, total: np.ndarray, realization) -> np.ndarray:
+    """gbar(s_k) = n / total_k, total_k = sum_i g_i^{-1}(s_k), in floats; where
+    total_k is not finite (a node zero) or 0, n times the response of the float
+    realization of gbar/n that realization() builds once, infinite at its poles."""
     fallback = ~np.isfinite(total) | (total == 0)
-    gbar = np.divide(net.n, total, out=np.zeros(total.shape, complex),
-                     where=~fallback)
+    gbar = np.divide(n, total, out=np.zeros(total.shape, complex), where=~fallback)
+    model = realization() if fallback.any() else None
     for k in np.flatnonzero(fallback):
         try:
-            gbar[k] = net.n * net.gbar_model.response(pts[k])[0, 0]
+            gbar[k] = n * model.response(pts[k])[0, 0]
         except np.linalg.LinAlgError:  # s_k I - A is singular
             gbar[k] = INFINITY
     return gbar
@@ -279,39 +279,46 @@ def _transfer(s: complex, ginv: np.ndarray, fv: complex, L: np.ndarray) -> np.nd
     return T
 
 
-def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
-    """Incoherence reports at pts, with the norm bound when M1 and M2 are
-    given, and ||T(s)||_2 and |gbar(s)| at each point when t_norm.
-
-    Real coefficients give T(conj s) = conj T(s), so the closed loop is
-    solved once per conjugate class (Re s, |Im s|), at its first point in
-    grid order, and later points reuse its norms.  A class on the real axis
-    is solved in real arithmetic (_transfer), with a real coherent term.  At
-    each point the checks run coherent pole, coupling pole, singular matrix
-    or node zero, then majorants; a reused point passes the middle two as its
-    class did.
+def _class_norms(pts, ginv, gbar, fvs, L: np.ndarray, t_norm=False):
+    """(||T(s) - (gbar(s)/n) 11^T||_2, ||T(s)||_2 if t_norm else None) at each
+    point, lazily in grid order, from the nodes' inverses ginv and f(s) in fvs;
+    each point first checks that gbar(s) is finite.  Real coefficients give
+    T(conj s) = conj T(s), so the closed loop is solved once per conjugate class
+    (Re s, |Im s|), at its first point, and later points reuse its norms.  A
+    class on the real axis is solved in real arithmetic, as is its coherent term.
     """
-    L, n = net.laplacian.entries, net.n
-    ginv = _node_inverses(*net._rows, pts)
-    bounded = M1 is not None and M2 is not None
-    lam2 = net.laplacian.lambda2
-    reports, t_norms, gains, solved = [], [], [], {}
-    for s, row, gbar in zip(pts, ginv, _gbar_values(net, pts, ginv).tolist()):
-        if not cmath.isfinite(gbar):
+    solved = {}
+    for s, row, gb, fv in zip(pts, ginv, gbar, fvs):
+        if not cmath.isfinite(gb):
             raise CoherentPoleAtSError(
                 f"s={s} is a pole of the coherent dynamics; measure undefined")
-        fv = net.coupling(s)
         key = (s.real, abs(s.imag))
         if key not in solved:
             T = _transfer(s, row, fv, L)
-            coherent = gbar / n if np.iscomplexobj(T) else (gbar / n).real
+            coherent = gb / len(L) if np.iscomplexobj(T) else (gb / len(L)).real
             # T's last use is the second _norm2, which overwrites it
             solved[key] = (_norm2(T - coherent), _norm2(T) if t_norm else None)
-        measured, t = solved[key]
+        yield solved[key]
+
+
+def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
+    """Incoherence reports at pts, with the norm bound when M1 and M2 are
+    given, and ||T(s)||_2 and |gbar(s)| at each point when t_norm.
+    At each point the checks run coherent pole, coupling pole, singular matrix
+    or node zero (these in _class_norms), then majorants; a point whose
+    conjugate class is already solved passes the middle two as its class did.
+    """
+    ginv = _node_inverses(*net._rows, pts)
+    gbars = _gbar_values(net.n, pts, ginv.sum(axis=1), lambda: net.gbar_model).tolist()
+    fvs = [net.coupling(s) for s in pts]
+    norms = _class_norms(pts, ginv, gbars, fvs, net.laplacian.entries, t_norm)
+    bounded = M1 is not None and M2 is not None
+    reports, t_norms, gains = [], [], []
+    for s, row, gbar, fv, (measured, t) in zip(pts, ginv, gbars, fvs, norms):
         if t_norm:
             t_norms.append(t)
             gains.append(abs(gbar))
-        eff = abs(fv) * lam2
+        eff = abs(fv) * net.laplacian.lambda2
         if not bounded:
             reports.append(IncoherenceReport(s, measured, eff))
             continue
@@ -378,9 +385,8 @@ def estimate_majorants(net: NetworkModel,
                 )
     pts = region.points()
     ginv = _node_inverses(*net._rows, pts)
-    M1 = float(np.abs(_gbar_values(net, pts, ginv)).max())
-    M2 = float(np.abs(ginv).max())
-    return M1 * MAJORANT_SAFETY, M2 * MAJORANT_SAFETY
+    M1 = np.abs(_gbar_values(net.n, pts, ginv.sum(1), lambda: net.gbar_model)).max()
+    return float(M1) * MAJORANT_SAFETY, float(np.abs(ginv).max()) * MAJORANT_SAFETY
 
 
 def sweep_region(net: NetworkModel, region: FrequencyRegion,

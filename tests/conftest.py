@@ -1,6 +1,6 @@
 import pytest
 
-from netcoh import ensemble, netfreq
+from netcoh import netfreq
 
 
 @pytest.fixture
@@ -14,5 +14,4 @@ def exact_sums(monkeypatch):
         return real(gs)
 
     monkeypatch.setattr(netfreq, "harmonic_mean", counting)
-    monkeypatch.setattr(ensemble, "harmonic_mean", counting)
     return calls

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netcoh import cli, ensemble, netfreq, ratfun, timedomain
+from netcoh import cli, netfreq, ratfun, timedomain
 from netcoh.cli import _build_net, main, run
 
 SWING_NET = {
@@ -352,6 +353,29 @@ class TestConcentrate:
         assert capsys.readouterr().err.startswith("error: kind=config detail=need trials")
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("ens", [
+        {"family": "swing", "params": {"m": {"kind": "uniform", "lo": 1, "hi": 3},
+                                       "d": {"kind": "point", "value": 2}}},
+        # every g^{-1} = (1 + s)/(num_0 + s) vanishes at s = -1
+        {"family": "custom_coeffs", "params": {
+            "num_0": {"kind": "uniform", "lo": 2, "hi": 3},
+            "num_1": {"kind": "point", "value": 1}, "den_0": {"kind": "point", "value": 1},
+            "den_1": {"kind": "point", "value": 1}}}], ids=["analytic", "monte-carlo"])
+    @pytest.mark.parametrize("full_network", [False, True])
+    def test_ghat_pole_on_grid_exit_3(self, tmp_path, capsys, ens, full_network):
+        # ghat = 1/(2s + 2), or a Monte-Carlo ghat whose sum of inverses is 0,
+        # at the grid point s = -1
+        cfg = {"ensemble": ens, "region": {"kind": "vertical_segment", "sigma": -1.0,
+                                           "omega_range": [-1, 1], "resolution": 5},
+               "sweep": {"sizes": [4, 8], "trials": 2, "full_network": full_network}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("concentrate", write_cfg(tmp_path, cfg), out=str(out)) == 3
+        assert caught == []
+        assert capsys.readouterr().err.startswith("error: kind=CoherentPoleAtS detail=")
+        assert not out.exists()
+
 
 def _swing_ring(rng, n, weight):
     return {"nodes": [{"num": [1.0], "den": [float(d), float(m)]}
@@ -367,6 +391,16 @@ def _turbine_ring(rng, n, weight):
     return dict(_swing_ring(rng, n, weight), nodes=[
         {"num": [1.0, t], "den": [di + ri, mi + di * t, mi * t]}
         for mi, di, ri, t in zip(*(v.tolist() for v in (m, d, r, tau)))])
+
+
+# half the numerators are s - 0.5, a node zero at the grid point s = 0.5 of a
+# segment on Re s = 0.5, the others s - 0.5 + 2**-54
+HALF_ZERO_ENSEMBLE = {"family": "custom_coeffs", "params": {
+    "num_0": {"kind": "uniform", "lo": -0.5, "hi": float(np.nextafter(-0.5, 0))},
+    "num_1": {"kind": "point", "value": 1.0},
+    "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
+    "den_1": {"kind": "uniform", "lo": 1, "hi": 2},
+    "den_2": {"kind": "point", "value": 1.0}}}
 
 
 def _float_gbar_runs() -> dict:
@@ -389,6 +423,9 @@ def _float_gbar_runs() -> dict:
             "simulate": {"t_end": 10.0, "dt": 1e-2}}),
         "concentrate": ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE, "region": seg,
                                         "sweep": {"sizes": [10, 40], "trials": 3}}),
+        "concentrate-node-zero": ("concentrate", {
+            "ensemble": HALF_ZERO_ENSEMBLE, "sweep": {"sizes": [1, 2, 10], "trials": 5},
+            "region": dict(seg, sigma=0.5, resolution=9)}),
         "turbine-bound": ("bound", {"net": _turbine_ring(rng, 12, 50.0), "region": rect}),
         "turbine-simulate": ("simulate", {"net": _turbine_ring(rng, 4, 1.0), "input": step,
                                           "simulate": sim}),
@@ -407,8 +444,11 @@ class TestFloatGbar:
         def refuse(gs):
             raise AssertionError("a numeric path built the exact harmonic mean")
 
-        for module in (ratfun, netfreq, ensemble):
-            monkeypatch.setattr(module, "harmonic_mean", refuse)
+        # every binding in the package, so a module that imports the name is covered
+        real = ratfun.harmonic_mean
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "netcoh" and vars(module).get("harmonic_mean") is real:
+                monkeypatch.setattr(module, "harmonic_mean", refuse)
         command, cfg = FLOAT_GBAR_RUNS[case]
         assert run(command, write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
 

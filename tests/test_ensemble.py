@@ -1,6 +1,7 @@
 import math
 import re
 import signal
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netcoh import ensemble, netfreq
-from netcoh.errors import NotAffineError
+from netcoh.errors import CoherentPoleAtSError, NotAffineError
 from netcoh.ensemble import (
     ConcentrationResult,
     EnsembleSpec,
@@ -25,7 +26,7 @@ from netcoh.ensemble import (
 from netcoh.graph import LaplacianMatrix, builder
 from netcoh.netfreq import FrequencyRegion, NetworkModel, eval_T
 from netcoh.ratfun import RationalFunction as RF
-from netcoh.ratfun import harmonic_mean
+from netcoh.ratfun import harmonic_mean, harmonic_realization
 
 
 def swing_spec(seed=0):
@@ -478,7 +479,8 @@ class TestFloatEvaluation:
         assert 0.5 + 0j in region.points()
         got = concentration_experiment(spec, region, [3, 10], 3, 0.05)
         assert np.all(np.isfinite(got.deviations))
-        assert got.deviations == _exact_route(spec, region, [3, 10], 3)
+        want = _exact_route(spec, region, [3, 10], 3)
+        assert np.abs(np.array(got.deviations) - want).max() <= 1e-12
 
     def test_sampled_coherent_matches_eval_inverse_sum(self):
         spec = EnsembleSpec("swing_turbine", {
@@ -526,7 +528,8 @@ class TestFloatEvaluation:
 
 
 def _one_trial_route(spec, region, sizes, trials):
-    """Deviations with one sampling pass, one _inverse_sum and one sup per trial."""
+    """Deviations with one sampling pass, one _inverse_sum and one sup per trial;
+    where the float sum is 0 or not finite, the trial's float realization."""
     pts, ghat = ensemble._ghat_on_grid(spec, region)
     devs = []
     for k, n in enumerate(sizes):
@@ -534,11 +537,9 @@ def _one_trial_route(spec, region, sizes, trials):
         for stream in (k * 1_000_003 + t + 1 for t in range(trials)):
             num, den = _sample_coeffs(spec, n, stream)
             inv = netfreq._inverse_sum(num, den, pts, [0])[0]
-            if np.all(np.isfinite(inv) & (inv != 0)):
-                devs[-1].append(float(np.max(np.abs(n / inv - ghat))))
-            else:
-                gbar = harmonic_mean(sample_nodes(spec, n, stream))
-                devs[-1].append(float(max(abs(gbar(s) - gv) for s, gv in zip(pts, ghat))))
+            gbar = netfreq._gbar_values(n, pts, inv, lambda: harmonic_realization(
+                sample_nodes(spec, n, stream)))
+            devs[-1].append(float(np.max(np.abs(gbar - ghat))))
     return devs
 
 
@@ -706,4 +707,65 @@ class TestFullNetworkKernel:
         region = FrequencyRegion("vertical_segment", 0.5, (-1.0, 1.0), 9)
         got = full_network_concentration(spec, region, [3, 10], 3, 0.05)
         assert np.all(np.isfinite(got.deviations))
-        assert got.deviations == _exact_full_network(spec, region, [3, 10], 3)
+        want = _exact_full_network(spec, region, [3, 10], 3)
+        assert np.allclose(got.deviations, want, rtol=1e-12, atol=0)
+
+    def test_one_solve_per_conjugate_class(self, monkeypatch):
+        # a symmetric 33-point segment has 17 classes (Re s, |Im s|); the
+        # omega = 0 class is solved in float64
+        region = FrequencyRegion("vertical_segment", 0.1, (-1.0, 1.0), 33)
+        solved, real = [], netfreq._transfer
+
+        def counting(s, ginv, fv, L):
+            T = real(s, ginv, fv, L)
+            solved.append((s, T.dtype))
+            return T
+
+        monkeypatch.setattr(netfreq, "_transfer", counting)
+        full_network_concentration(swing_spec(2), region, [8], 1, 0.05)
+        assert len(solved) == 17
+        assert [s for s, dtype in solved if dtype == np.float64] == [0.1 + 0j]
+
+
+# Re s = -1, 5 points, through s = -1
+POLE_REGION = FrequencyRegion("vertical_segment", -1.0, (-1.0, 1.0), 5)
+
+
+class TestCoherentPoleOnGrid:
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec("swing", {"m": uniform(1, 3), "d": point(2.0)}),
+        # every g^{-1} = (1 + s)/(num_0 + s) vanishes at s = -1
+        EnsembleSpec("custom_coeffs", {"num_0": uniform(2, 3), "num_1": point(1.0),
+                                       "den_0": point(1.0), "den_1": point(1.0)})],
+        ids=["analytic", "monte-carlo-zero-sum"])
+    @pytest.mark.parametrize("experiment", [concentration_experiment,
+                                            full_network_concentration])
+    def test_ghat_pole_is_refused(self, spec, experiment):
+        # ghat = 1/(2s + 2) has its pole at s = -1; so has the Monte-Carlo
+        # ghat, whose sum of inverses is 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoherentPoleAtSError, match="pole of ghat"):
+                experiment(spec, POLE_REGION, [4, 8], 2, 0.05)
+
+    def test_sampled_pole_takes_the_trials_realization(self, monkeypatch):
+        # den_0 is a = 1 + 2**-52 or its successor b, and ghat's pole is at -b
+        # (the mean a/2 + b/2 rounds to b): a one-node trial of den_0 = a has
+        # its pole on the grid point -a, where its realization is singular
+        a = np.nextafter(1.0, 2.0)
+        spec = EnsembleSpec("custom_coeffs", {
+            "num_0": point(1.0), "den_0": uniform(a, np.nextafter(a, 2.0)),
+            "den_1": point(1.0)}, seed=0)
+        region = FrequencyRegion("vertical_segment", -a, (-1.0, 1.0), 5)
+        built = []
+
+        def counting(gs):
+            built.append(len(gs))
+            return harmonic_realization(gs)
+
+        monkeypatch.setattr(ensemble, "harmonic_realization", counting)
+        got = concentration_experiment(spec, region, [1], 6, 0.05).deviations[0]
+        at_pole = [_sample_coeffs(spec, 1, t + 1)[1][0, 0] == a for t in range(6)]
+        assert any(at_pole) and not all(at_pole)
+        assert [math.isinf(d) for d in got] == at_pole
+        assert built == [1] * sum(at_pole)
