@@ -28,16 +28,16 @@ class SingularAtSError(NetcohError):
     """The closed-loop matrix is numerically singular at s (a pole of T)."""
 
 
-class NodeZeroAtSError(NetcohError):
-    """Some g_i(s) = 0 and the closed-loop matrix at s is singular."""
-
-
 class CoherentPoleAtSError(NetcohError):
     """s is a pole of the coherent dynamics; the incoherence measure is undefined."""
 
 
 class InvalidMajorantsError(NetcohError):
     """Supplied M1/M2 do not majorize |gbar(s)| / max |g_i^{-1}(s)|."""
+
+
+class BoundContradictedError(NetcohError):
+    """A valid norm bound at s lies below the measured incoherence there."""
 
 
 class RegionContainsSingularityError(NetcohError):

@@ -18,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    BoundContradictedError,
     CoherentPoleAtSError,
     DisconnectedError,
     InvalidMajorantsError,
-    NodeZeroAtSError,
     RegionContainsSingularityError,
     SingularAtSError,
     require_increasing,
@@ -255,27 +255,24 @@ def _norm2(X: np.ndarray) -> float:
 
 
 def _transfer(s: complex, ginv: np.ndarray, fv: complex, L: np.ndarray) -> np.ndarray:
-    """T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1} from the nodes' inverses ginv
-    and fv = f(s) at one point.  Where g_i(s) = 0 (g_i^{-1} infinite) this is
-    the limit: row i of the inverted matrix is e_i and column i of T is 0, as
-    row i of diag{g^{-1}} + f L scaled by g_i's numerator shows.  That limit
-    needs each node's numerator and denominator to have no common root at s.
-    At a real s, fv and ginv have zero imaginary parts (real coefficients, a
-    node zero is inf + 0j), so M and T are float64 and every solve is real."""
+    """T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1} = (D M)^{-1} D from the nodes'
+    inverses ginv and fv = f(s), D = diag{g_i(s)} on the rows where
+    |g_i^{-1}(s)| > |f(s)| L_ii and 1 elsewhere (row equilibration, Golub &
+    Van Loan 3.5.2); the guard screens D M.  A node zero is g_i = 0, row e_i,
+    a limit that needs reduced nodes.  At a real s, fv and ginv have zero
+    imaginary parts (a node zero is inf + 0j): M and T are float64."""
     if not cmath.isfinite(fv):
         raise SingularAtSError(f"s={s} is a pole of the coupling dynamics")
     if fv.imag == 0 and not ginv.imag.any():
         fv, ginv = fv.real, ginv.real
-    live = np.isfinite(ginv)
-    if not live.all() and np.any(ginv == 0):
-        raise SingularAtSError(
-            f"s={s} is simultaneously a zero and a pole among the nodes")
-    M = np.diag(np.where(live, ginv, 1)) + fv * L * live[:, None]
+    scaled = np.abs(ginv) > abs(fv) * L.diagonal()  # L is PSD: L_ii >= 0
+    d = np.divide(1, ginv, out=np.ones(ginv.shape, ginv.dtype), where=scaled)
+    M = L * (fv * d)[:, None]  # an unscaled row's factor is fv, exactly
+    M[np.diag_indices_from(M)] += np.where(scaled, 1, ginv)
     if not np.isfinite(M).all():
         raise SingularAtSError(f"closed-loop matrix not finite at s={s}")
-    error = SingularAtSError if live.all() else NodeZeroAtSError
-    T = _guarded_inverse(M, error, f"closed-loop matrix singular at s={s}")
-    T *= live  # in place: a second n x n array here raises the peak memory
+    T = _guarded_inverse(M, SingularAtSError, f"closed-loop matrix singular at s={s}")
+    T *= d  # in place: a second n x n array here raises the peak memory
     return T
 
 
@@ -303,11 +300,10 @@ def _class_norms(pts, ginv, gbar, fvs, L: np.ndarray, t_norm=False):
 
 def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
     """Incoherence reports at pts, with the norm bound when M1 and M2 are
-    given, and ||T(s)||_2 and |gbar(s)| at each point when t_norm.
-    At each point the checks run coherent pole, coupling pole, singular matrix
-    or node zero (these in _class_norms), then majorants; a point whose
-    conjugate class is already solved passes the middle two as its class did.
-    """
+    given, and ||T(s)||_2 and |gbar(s)| at each point when t_norm.  Each point
+    checks coherent pole, coupling pole and singular matrix (in _class_norms,
+    the last two once per conjugate class), majorants, then a valid bound
+    below the measured value (BoundContradictedError)."""
     ginv = _node_inverses(*net._rows, pts)
     gbars = _gbar_values(net.n, pts, ginv.sum(axis=1), lambda: net.gbar_model).tolist()
     fvs = [net.coupling(s) for s in pts]
@@ -330,6 +326,9 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
         threshold = M2 + M1 * M2 * M2
         valid = eff > threshold
         bound = (M1 * M2 + 1.0) ** 2 / (eff - threshold) if valid else None
+        if valid and measured > bound * (1 + tol):
+            raise BoundContradictedError(
+                f"s={s}: measured incoherence {measured} exceeds the bound {bound}")
         reports.append(IncoherenceReport(s, measured, eff, bound, valid))
     return reports, t_norms, gains
 
@@ -337,8 +336,9 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
 def eval_T(net: NetworkModel, s: complex) -> np.ndarray:
     """Closed-loop transfer matrix T(s) = (diag{g_i^{-1}(s)} + f(s) L)^{-1}.
 
-    Where some g_i(s) = 0 it is the limit of that inverse: column i is 0.
-    float64 at a real s (imaginary part exactly 0), complex128 otherwise.
+    Rows where |g_i^{-1}(s)| > |f(s)| L_ii are scaled by g_i(s) before the
+    solve, so a node zero g_i(s) = 0 gives the limit (column i is 0) and a
+    near-zero no false singularity.  float64 at a real s, else complex128.
     """
     return _transfer(s, _node_inverses(*net._rows, [s])[0], net.coupling(s),
                      net.laplacian.entries)

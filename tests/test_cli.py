@@ -95,6 +95,17 @@ class TestAnalyze:
         assert len(exact_sums) == 0
 
 
+# four first-order nodes on a ring of weight 1e10, where the solve's rounding
+# puts the measured incoherence above the norm bound
+CONTRADICTED_BOUND = {
+    "net": {"nodes": [{"num": [1], "den": [1, 1]}, {"num": [1], "den": [0.5, 2]},
+                      {"num": [1], "den": [1.5, 3]}, {"num": [1], "den": [0.8, 1.2]}],
+            "coupling": {"num": [1], "den": [1]},
+            "laplacian": {"builder": {"kind": "ring", "n": 4, "weight": 1e10}}},
+    "region": {"kind": "vertical_segment", "sigma": 0.0, "omega_range": [-1, 1],
+               "resolution": 9}}
+
+
 class TestBound:
     def test_bound_csv(self, tmp_path):
         cfg = {
@@ -137,6 +148,17 @@ class TestBound:
         }
         path = write_cfg(tmp_path, cfg)
         assert run("bound", path, out=str(tmp_path)) == 3
+
+    @pytest.mark.parametrize("command", ["bound", "analyze"])
+    def test_contradicted_bound_exit_3(self, tmp_path, capsys, command):
+        # rows with bound_valid and measured (4.6e-8 to 2.1e-7) above the bound
+        # (1.2e-9): refused before the output directory is made
+        cfg = dict(CONTRADICTED_BOUND, sweep={"alphas": [1.0]})
+        out = tmp_path / "out"
+        assert run(command, write_cfg(tmp_path, cfg), out=str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: kind=BoundContradicted detail=s=-1j: measured incoherence ")
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -426,6 +448,10 @@ def _float_gbar_runs() -> dict:
         "concentrate-node-zero": ("concentrate", {
             "ensemble": HALF_ZERO_ENSEMBLE, "sweep": {"sizes": [1, 2, 10], "trials": 5},
             "region": dict(seg, sigma=0.5, resolution=9)}),
+        # node zeros and near-zeros (|g^-1| near 1e16) through the row-scaled kernel
+        "concentrate-full-network-node-zero": ("concentrate", {
+            "ensemble": HALF_ZERO_ENSEMBLE, "region": dict(seg, sigma=0.5, resolution=9),
+            "sweep": {"sizes": [2, 3, 10, 40], "trials": 3, "full_network": True}}),
         "turbine-bound": ("bound", {"net": _turbine_ring(rng, 12, 50.0), "region": rect}),
         "turbine-simulate": ("simulate", {"net": _turbine_ring(rng, 4, 1.0), "input": step,
                                           "simulate": sim}),

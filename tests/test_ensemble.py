@@ -4,6 +4,7 @@ import signal
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -665,6 +666,24 @@ def _exact_full_network(spec, region, sizes, trials):
     return devs
 
 
+def _mp_complete_transfer(num, den, s):
+    """T(s) on the complete graph (L = nI - 11^T, f = 1) from the nodes'
+    ascending coefficient rows, by Sherman-Morrison:
+    T = diag{h} + c h h^T, h_i = g_i / (1 + n g_i), c = 1 / (1 - sum h).
+    h, c and the diagonal are taken to 60 digits, each off-diagonal entry is
+    the float product of c h_i and h_j, within a few ulps."""
+    n = len(num)
+    with mpmath.workdps(60):
+        s = mpmath.mpc(s)
+        g = [mpmath.polyval(a[::-1].tolist(), s) / mpmath.polyval(b[::-1].tolist(), s)
+             for a, b in zip(num, den)]
+        h = [gi / (1 + n * gi) for gi in g]
+        c = 1 / (1 - mpmath.fsum(h))
+        T = np.outer([complex(c * hi) for hi in h], [complex(hi) for hi in h])
+        T[np.diag_indices(n)] = [complex(hi + c * hi * hi) for hi in h]
+    return T
+
+
 class TestFullNetworkKernel:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_exact_route(self, family):
@@ -709,6 +728,30 @@ class TestFullNetworkKernel:
         assert np.all(np.isfinite(got.deviations))
         want = _exact_full_network(spec, region, [3, 10], 3)
         assert np.allclose(got.deviations, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40, 160])
+    def test_near_zero_nodes_match_60_digits(self, n, monkeypatch):
+        # HALF_ZERO's numerators vanish 2**-54 apart at s = 0.5, a near-zero
+        # node's |g^-1| near 1e16: every T solved for 20 trials (4 at n = 160)
+        # is within 1e-10 of 60 digits
+        solved, real = [], netfreq._transfer
+
+        def recording(s, ginv, fv, L):
+            T = real(s, ginv, fv, L)
+            solved.append((s, T.copy()))
+            return T
+
+        monkeypatch.setattr(netfreq, "_transfer", recording)
+        trials = 4 if n == 160 else 20
+        got = full_network_concentration(HALF_ZERO, ZERO_REGION, [n], trials, 0.05)
+        assert np.all(np.isfinite(got.deviations))
+        classes = len(solved) // trials  # in trial order, 5 conjugate classes each
+        assert classes == 5
+        for t in range(trials):
+            num, den = _sample_coeffs(HALF_ZERO, n, t + 1)
+            for s, T in solved[t * classes:(t + 1) * classes]:
+                want = _mp_complete_transfer(num, den, s)
+                assert np.abs(T - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_one_solve_per_conjugate_class(self, monkeypatch):
         # a symmetric 33-point segment has 17 classes (Re s, |Im s|); the

@@ -5,19 +5,20 @@ import time
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netcoh import netfreq, ratfun
 from netcoh.errors import (
+    BoundContradictedError,
     CoherentPoleAtSError,
     DisconnectedError,
     ImproperError,
     InvalidMajorantsError,
     NetcohError,
-    NodeZeroAtSError,
     NotIncreasingError,
     RegionContainsSingularityError,
     SingularAtSError,
@@ -243,6 +244,18 @@ class TestLemmaBound:
                            builder("complete", 2, 100.0))
         with pytest.raises(InvalidMajorantsError):
             lemma_bound(net, 0.5, 1e-6, 1e-6)
+
+    def test_contradicted_bound_is_refused(self):
+        # at weight 1e10 the measured incoherence (4.6e-8 at s = -j) carries the
+        # solve's rounding, which the bound 1.2e-9 does not: refused, naming s
+        net = NetworkModel([RF([1], [1, 1]), RF([1], [0.5, 2]), RF([1], [1.5, 3]),
+                            RF([1], [0.8, 1.2])], ONE, builder("ring", 4, 1e10))
+        region = FrequencyRegion("vertical_segment", 0.0, (-1, 1), 9)
+        M1, M2 = estimate_majorants(net, region)
+        with pytest.raises(BoundContradictedError, match=r"^s=-1j: measured "):
+            sweep_region(net, region, M1, M2)
+        with pytest.raises(BoundContradictedError, match=r"^s=-1j: measured "):
+            lemma_bound(net, region.points()[0], M1, M2)
 
     def test_random_nets_soundness(self):
         rng = np.random.default_rng(9)
@@ -618,17 +631,13 @@ PRECEDENCE = {
         NetworkModel([swing(1, 3), swing(1, 3)], RF([-1], [1]),
                      builder("path", 2, 0.75)), RECT3, (0.6, 1e3),
         SingularAtSError, 4),
-    # g_1 = 0 at s = -1 (index 1 of the Re = -1 segment) with a singular
-    # fallback; the infinite max|g_i^-1| there fails the majorants too
+    # g_1 = 0 at s = -1 (index 1 of the Re = -1 segment), where the row-scaled
+    # matrix [[1, 0], [2, 0]] is singular; the infinite max|g_i^-1| there
+    # fails the majorants too
     "node-zero-before-majorants": (
         NetworkModel([RF([1, 1], [2, 1]), swing(1, 3)], RF([-2], [1]),
                      builder("path", 2)),
         FrequencyRegion("vertical_segment", -1.0, (-1, 1), 3), (1e3, 1e3),
-        NodeZeroAtSError, 1),
-    # g_1 has a zero and g_2 a pole at s = -1
-    "zero-and-pole": (
-        NetworkModel([RF([1, 1], [2, 1]), swing(1, 1)], ONE, builder("path", 2)),
-        FrequencyRegion("vertical_segment", -1.0, (-1, 1), 3), None,
         SingularAtSError, 1),
 }
 
@@ -647,6 +656,108 @@ def test_sweep_raises_first_failure_in_grid_order(case):
     with pytest.raises(error) as swept:
         sweep_region(net, region, M1, M2)
     assert str(swept.value) == str(single.value)
+
+
+def _mp_transfer(a, b, fv, L):
+    """(diag{a} + fv diag{b} L)^{-1} diag{b} in 60 digits: T for node inverses
+    g_i^{-1} = a_i / b_i, so a node zero is b_i = 0 and needs no limit."""
+    n = len(a)
+    with mpmath.workdps(60):
+        M = mpmath.matrix([[(a[i] if i == j else 0) + mpmath.mpc(fv) * b[i] * L[i][j]
+                            for j in range(n)] for i in range(n)])
+        return np.array((mpmath.inverse(M) * mpmath.diag(b)).tolist(), complex)
+
+
+def _masked_matrix(ginv, fv, L):
+    """The matrix the kernel inverted before row scaling, and its node mask:
+    row e_i at a node zero (T = M^{-1} times the mask), every other row unscaled."""
+    live = np.isfinite(ginv)
+    return np.diag(np.where(live, ginv, 1)) + fv * L * live[:, None], live
+
+
+def _relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def test_zero_and_pole_is_the_limit():
+    # g_1 = (1 + s)/(2 + s) has a zero and g_2 = 1/(1 + s) a pole at s = -1,
+    # where T is the limit [[0, 0], [0, 1]]: 60 digits at s = -1 + 1e-30 agree
+    net = NetworkModel([RF([1, 1], [2, 1]), swing(1, 1)], ONE, builder("path", 2))
+    T = eval_T(net, -1.0)
+    assert T.dtype == np.float64 and np.array_equal(T, [[0, 0], [0, 1]])
+    with mpmath.workdps(60):
+        s = mpmath.mpf(-1) + mpmath.mpf("1e-30")
+        want = _mp_transfer([2 + s, 1 + s], [1 + s, 1], 1, net.laplacian.entries)
+    assert _relative_error(T, want) < 1e-10
+    region = FrequencyRegion("vertical_segment", -1.0, (-1, 1), 3)
+    assert sweep_region(net, region)[0][1].measured == pytest.approx(1, rel=1e-15)
+
+
+@st.composite
+def _threshold_draws(draw):
+    """(ginv, fv, L) on a weighted complete graph of 2 to 6 nodes, each
+    |g_i^{-1}| within 1e3 of |f| L_ii either way: node 0 above it, node 1 below."""
+    n = draw(st.integers(2, 6))
+    w = draw(st.lists(st.floats(0.1, 2.0), min_size=n * (n - 1) // 2,
+                      max_size=n * (n - 1) // 2))
+    W = np.zeros((n, n))
+    W[np.triu_indices(n, 1)] = w
+    W += W.T
+    L = np.diag(W.sum(axis=1)) - W
+    real = draw(st.booleans())
+    phase = st.sampled_from([0.0, np.pi]) if real else st.floats(0, 2 * np.pi)
+    fv = draw(st.floats(0.01, 100)) * np.exp(1j * draw(phase))
+    logs = [draw(st.floats(0.01, 3)), draw(st.floats(-3, -0.01))]
+    logs += [draw(st.floats(-3, 3)) for _ in range(n - 2)]
+    ginv = np.array([10.0 ** x * np.exp(1j * draw(phase)) for x in logs])
+    ginv *= abs(fv) * L.diagonal()
+    return (ginv.real + 0j, complex(fv.real), L) if real else (ginv, complex(fv), L)
+
+
+class TestRowScaledKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_threshold_draws())
+    def test_matches_the_unscaled_formula(self, draw):
+        # the unscaled formula's own error grows as eps cond(M) (measured:
+        # 2.5e-11 at cond 3.8e5, where the row-scaled T is 1.8e-16 from
+        # 60 digits), hence a tolerance of 1e-15 cond(M) above 1e-12
+        ginv, fv, L = draw
+        M, _ = _masked_matrix(ginv, fv, L)
+        cond = np.linalg.cond(M)
+        assume(cond < 1e6)
+        got, want = netfreq._transfer(0.5j, ginv, fv, L), np.linalg.inv(M)
+        assert _relative_error(got, want) <= max(1e-12, 1e-15 * cond)
+
+    def test_refused_points_are_refused_or_exact(self):
+        # 200 draws of node inverses from 1e-2 to 1e18, node zeros and node
+        # poles; each point the unscaled formula's guard refuses is still
+        # refused or within 1e-10 of 60 digits
+        rng = np.random.default_rng(31)
+        refused = accepted = 0
+        for k in range(200):
+            n = int(rng.integers(2, 7))
+            W = np.triu(rng.uniform(0.1, 2.0, (n, n)), 1)
+            W += W.T
+            L = np.diag(W.sum(axis=1)) - W
+            fv = complex(*rng.normal(size=2))
+            ginv = 10.0 ** rng.uniform(-2, 18, n) * np.exp(2j * np.pi * rng.random(n))
+            ginv[rng.random(n) < 0.15] = np.inf
+            ginv[rng.random(n) < 0.05] = 0
+            if k % 20 == 0:
+                ginv[:] = 0  # every node at a pole: M = f L is singular
+            M, live = _masked_matrix(ginv, fv, L)
+            zero_and_pole = not live.all() and (ginv == 0).any()
+            if np.linalg.cond(M) <= 1e12 and not zero_and_pole:
+                continue
+            refused += 1
+            try:
+                got = netfreq._transfer(0.5j, ginv, fv, L)
+            except SingularAtSError:
+                continue
+            accepted += 1
+            want = _mp_transfer(np.where(live, ginv, 1), live.astype(int), fv, L)
+            assert _relative_error(got, want) < 1e-10
+        assert refused >= 50 and 0 < accepted < refused
 
 
 def _with_singular_values(sv, seed=0):
