@@ -58,6 +58,8 @@ class Distribution:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal", "point"):
             raise ValueError(f"unknown distribution {self.kind!r}")
+        for name in ("lo", "hi", "mu", "sd", "value"):  # a NaN would hang sample()
+            require_number(name, getattr(self, name))
         if self.kind in ("uniform", "normal") and not self.lo < self.hi:
             raise ValueError("truncation bounds must satisfy lo < hi, "
                              f"got [{self.lo}, {self.hi}]")
@@ -327,18 +329,14 @@ def concentration_experiment(spec: EnsembleSpec, region: FrequencyRegion,
                              ) -> ConcentrationResult:
     """Grid-sup deviation of the empirical coherent dynamics from ghat.
 
-    Per (size, trial): draw nodes, evaluate gbar_n = n / sum g_i^{-1} in
-    floats on the region grid, take the sup of |gbar_n - ghat| there; a batch
-    of trials shares one sampling pass, one _inverse_sum and one sup.
+    Per (size, trial): draw nodes, evaluate gbar_n on the region grid by
+    netfreq._gbar_values (0 at an exact node zero), take the sup of |gbar_n - ghat|;
+    a batch of trials shares one sampling pass, one _gbar_values call and one sup.
     """
     def deviations(n, streams, num, den, pts, ghat_vals):
         inv = _inverse_sum(num, den, pts, range(0, len(num), n))
-        ok = np.isfinite(inv) & (inv != 0)
-        gbar_n = np.divide(n, inv, out=np.zeros_like(inv), where=ok)
-        # a node zero (gbar_n = 0) or a pole of gbar_n on the grid
-        for t in np.flatnonzero(~ok.all(axis=1)):
-            gbar_n[t] = _gbar_values(n, pts, inv[t], lambda t=t: harmonic_realization(
-                sample_nodes(spec, n, streams[t])))
+        gbar_n = _gbar_values(n, pts, inv, lambda t: harmonic_realization(
+            sample_nodes(spec, n, streams[t])))
         return np.max(np.abs(gbar_n - ghat_vals), axis=1)
 
     return _run_concentration(spec, region, sizes, trials, epsilon, deviations)

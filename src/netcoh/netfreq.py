@@ -228,17 +228,19 @@ def _inverse_sum(num: np.ndarray, den: np.ndarray, pts, blocks) -> np.ndarray:
 
 
 def _gbar_values(n: int, pts, total: np.ndarray, realization) -> np.ndarray:
-    """gbar(s_k) = n / total_k, total_k = sum_i g_i^{-1}(s_k), in floats; where
-    total_k is not finite (a node zero) or 0, n times the response of the float
-    realization of gbar/n that realization() builds once, infinite at its poles."""
+    """gbar(s_k) = n / total[t, k], row t of total summing g_i^{-1}(s_k) over network
+    or trial t, in floats.  Where a sum is not finite (a node zero) or 0, n times the
+    response of t's float realization of gbar/n, built once by realization(t); where
+    s_k I - A is singular, 0, the limit at a node zero, or infinite at a zero sum."""
     fallback = ~np.isfinite(total) | (total == 0)
     gbar = np.divide(n, total, out=np.zeros(total.shape, complex), where=~fallback)
-    model = realization() if fallback.any() else None
-    for k in np.flatnonzero(fallback):
-        try:
-            gbar[k] = n * model.response(pts[k])[0, 0]
-        except np.linalg.LinAlgError:  # s_k I - A is singular
-            gbar[k] = INFINITY
+    for t in np.flatnonzero(fallback.any(axis=1)):
+        model = realization(t)
+        for k in np.flatnonzero(fallback[t]):
+            try:
+                gbar[t, k] = n * model.response(pts[k])[0, 0]
+            except np.linalg.LinAlgError:  # s_k I - A is singular
+                gbar[t, k] = INFINITY if total[t, k] == 0 else 0
     return gbar
 
 
@@ -305,7 +307,7 @@ def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
     the last two once per conjugate class), majorants, then a valid bound
     below the measured value (BoundContradictedError)."""
     ginv = _node_inverses(*net._rows, pts)
-    gbars = _gbar_values(net.n, pts, ginv.sum(axis=1), lambda: net.gbar_model).tolist()
+    gbars = _gbar_values(net.n, pts, ginv.sum(1)[None], lambda t: net.gbar_model)[0].tolist()
     fvs = [net.coupling(s) for s in pts]
     norms = _class_norms(pts, ginv, gbars, fvs, net.laplacian.entries, t_norm)
     bounded = M1 is not None and M2 is not None
@@ -385,8 +387,8 @@ def estimate_majorants(net: NetworkModel,
                 )
     pts = region.points()
     ginv = _node_inverses(*net._rows, pts)
-    M1 = np.abs(_gbar_values(net.n, pts, ginv.sum(1), lambda: net.gbar_model)).max()
-    return float(M1) * MAJORANT_SAFETY, float(np.abs(ginv).max()) * MAJORANT_SAFETY
+    M1 = np.abs(_gbar_values(net.n, pts, ginv.sum(1)[None], lambda t: net.gbar_model))
+    return float(M1.max()) * MAJORANT_SAFETY, float(np.abs(ginv).max()) * MAJORANT_SAFETY
 
 
 def sweep_region(net: NetworkModel, region: FrequencyRegion,

@@ -191,6 +191,17 @@ class TestDistribution:
         with pytest.raises(ValueError, match="^sd must be non-negative$"):
             normal(0.0, -1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,build", [
+        ("lo", lambda x: uniform(x, 1.0)), ("hi", lambda x: uniform(0.0, x)),
+        ("mu", lambda x: normal(x, 1.0, -1.0, 1.0)),
+        ("sd", lambda x: normal(0.0, x, -1.0, 1.0)), ("value", point)])
+    def test_non_finite_parameter_refused(self, name, build, bad):
+        # refused at construction: a NaN sd or mu kept no rejection draw, so
+        # sample() never returned, and uniform(0, inf) raised OverflowError
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+            build(bad)
+
 
 NON_POSITIVE_LEAD = "^node has non-positive leading denominator coefficient$"
 
@@ -537,9 +548,9 @@ def _one_trial_route(spec, region, sizes, trials):
         devs.append([])
         for stream in (k * 1_000_003 + t + 1 for t in range(trials)):
             num, den = _sample_coeffs(spec, n, stream)
-            inv = netfreq._inverse_sum(num, den, pts, [0])[0]
-            gbar = netfreq._gbar_values(n, pts, inv, lambda: harmonic_realization(
-                sample_nodes(spec, n, stream)))
+            inv = netfreq._inverse_sum(num, den, pts, [0])
+            gbar = netfreq._gbar_values(n, pts, inv, lambda t: harmonic_realization(
+                sample_nodes(spec, n, stream)))[0]
             devs[-1].append(float(np.max(np.abs(gbar - ghat))))
     return devs
 
@@ -812,3 +823,60 @@ class TestCoherentPoleOnGrid:
         assert any(at_pole) and not all(at_pole)
         assert [math.isinf(d) for d in got] == at_pole
         assert built == [1] * sum(at_pole)
+
+
+def _mp_gbar(num, den, s):
+    """n / sum_i den_i(s) / num_i(s) of ascending coefficient rows, to 60
+    digits; 0, its limit, where a numerator is exactly 0 at s."""
+    with mpmath.workdps(60):
+        s = mpmath.mpc(s)
+        nv = [mpmath.polyval(a[::-1].tolist(), s) for a in num]
+        if any(v == 0 for v in nv):
+            return 0j
+        return complex(len(num) / mpmath.fsum(
+            mpmath.polyval(b[::-1].tolist(), s) / v for b, v in zip(den, nv)))
+
+
+class TestNodeZeroGbar:
+    """An exact node zero on the grid gives gbar = 0 there, also when it sits
+    beside near-zeros, which make the float realization singular."""
+
+    def test_concentration_matches_60_digits(self):
+        # HALF_ZERO trials mix exact zeros (s - 0.5) with near-zeros
+        # (s - 0.5 + 2**-54) at the grid point s = 0.5
+        sizes = [2, 3, 10, 40, 160]
+        got = concentration_experiment(HALF_ZERO, ZERO_REGION, sizes, 20, 0.05)
+        pts, ghat = ensemble._ghat_on_grid(HALF_ZERO, ZERO_REGION)
+        for k, (n, devs) in enumerate(zip(sizes, got.deviations)):
+            for t, dev in enumerate(devs):
+                num, den = _sample_coeffs(HALF_ZERO, n, k * 1_000_003 + t + 1)
+                want = max(abs(_mp_gbar(num, den, s) - g) for s, g in zip(pts, ghat))
+                assert dev == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n,stream", [(2, 5), (3, 1_000_013), (10, 2_000_009)])
+    def test_sweep_through_a_node_zero(self, n, stream):
+        # gbar(0.5) = 0, so the measured incoherence there is ||T(0.5)||_2
+        net = NetworkModel(sample_nodes(HALF_ZERO, n, stream), RF([1.0], [1.0]),
+                           builder("complete", n))
+        reports, _ = netfreq.sweep_region(net, ZERO_REGION)
+        [at] = [r.measured for r in reports if r.s == 0.5]
+        assert at == pytest.approx(np.linalg.norm(eval_T(net, 0.5), 2), rel=1e-12, abs=0)
+
+    def test_reducible_samples(self):
+        # every node is (s - 0.5)/((s - 0.5)(s + 1)), 0/0 at the grid point
+        # s = 0.5: only the reduced node 1/(s + 1) gives gbar and T there.  On the
+        # complete graph T - (1/n) ghat 11^T has the modes 1/(s + 1 + n), largest
+        # at s = 0.5
+        spec = EnsembleSpec("custom_coeffs", {
+            "num_0": point(-0.5), "num_1": point(1.0),
+            "den_0": point(-0.5), "den_1": point(0.5), "den_2": point(1.0)})
+        region = FrequencyRegion("vertical_segment", 0.5, (-1.0, 1.0), 5)
+        assert 0.5 + 0j in region.points()
+        got = concentration_experiment(spec, region, [3, 10], 2, 0.05)
+        want = _exact_route(spec, region, [3, 10], 2)
+        assert np.abs(np.array(got.deviations) - want).max() <= 1e-12
+        got = full_network_concentration(spec, region, [3, 10], 2, 0.05)
+        want = _exact_full_network(spec, region, [3, 10], 2)
+        assert np.allclose(got.deviations, want, rtol=1e-12, atol=0)
+        assert np.allclose(got.deviations, [[1 / 4.5] * 2, [1 / 11.5] * 2],
+                           rtol=1e-12, atol=0)
