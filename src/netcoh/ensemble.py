@@ -63,6 +63,8 @@ class Distribution:
         if self.kind in ("uniform", "normal") and not self.lo < self.hi:
             raise ValueError("truncation bounds must satisfy lo < hi, "
                              f"got [{self.lo}, {self.hi}]")
+        if self.kind == "uniform":  # else numpy's uniform raises OverflowError
+            require_number("uniform width hi - lo", self.hi - self.lo)
         if self.kind == "normal" and self.sd < 0:
             raise ValueError("sd must be non-negative")
 

@@ -52,6 +52,7 @@ MAJORANT_SAFETY = 1.05
 # eigenvalue error of gbar_model's poles (measured at 1e-14 relative or less)
 _REGION_PAD = 1e-9
 _CHUNK_ELEMS = 1 << 20  # runs x points of an _inverse_sum chunk; nodes x points of a batch
+_BLOCK, _BLOCK_STEPS, _BLOCK_TOL, _BLOCK_MIN = 4, 8, 1e-14, 96  # see _norm2's routes
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,15 +246,42 @@ def _gbar_values(n: int, pts, total: np.ndarray, realization) -> np.ndarray:
 
 
 def _norm2(X: np.ndarray) -> float:
-    """||X||_2 as sqrt(lambda_max(X^H X)), relative error about eps (Golub &
-    Van Loan 8.6).  X is overwritten: scaled in place, exactly, by 2^-e with
-    2^e at or above its largest entry, so X^H X neither overflows nor
-    underflows.  A real X stays real (its conj() is X itself): real LAPACK."""
-    e = math.frexp(float(np.abs(X).max()))[1]
+    """||X||_2 as sqrt(lambda_max(X^H X)): _block_lambda_max's where min(X.shape) >=
+    _BLOCK_MIN and it certifies one, else eigvalsh's (relative error about eps, Golub &
+    Van Loan 8.6).  X is overwritten: scaled in place, exactly, by 2^-e with 2^e at or
+    above its largest entry, so X^H X neither overflows nor underflows; real stays real."""
+    peaks = np.abs(X).max(axis=1)
+    e = math.frexp(float(peaks.max()))[1]
     for half in (e // 2, e - e // 2):  # 2.0 ** -e overflows for subnormal peaks
         X *= 2.0 ** -half
-    lam = np.linalg.eigvalsh(X.conj().T @ X)[-1]
+    lam = (min(X.shape) >= _BLOCK_MIN and _block_lambda_max(X, peaks)
+           or np.linalg.eigvalsh(X.conj().T @ X)[-1])
     return math.ldexp(math.sqrt(max(lam, 0.0)), e)
+
+
+def _block_lambda_max(X: np.ndarray, peaks: np.ndarray):
+    """lambda_max(X^H X) by subspace iteration on _BLOCK columns from X's rows of largest
+    peak (Rutishauser 1970).  With Ritz pairs theta_i, q_i descending, tau_j = ||X||_F^2 -
+    sum_{i<=j} theta_i bounds X^H X off q_{1..j}; the first tau_j < theta_1 and q_{1..j}'s
+    residual R give lambda_max <= theta_1 + ||R||_F^2/(theta_1 - tau_j) (Parlett 1998, ch.
+    11).  None where no tau_j is, or that width stalls above _BLOCK_TOL or steps run out."""
+    fro = float(np.vdot(X, X).real) * (1 + 4 * max(X.shape) * np.finfo(float).eps)
+    Wh, width = X[np.argsort(peaks)[-_BLOCK:]], math.inf  # rows in range(X^H X)
+    for _ in range(_BLOCK_STEPS):
+        Q = np.linalg.qr(Wh.conj().T)[0]
+        B = X @ Q
+        theta, V = np.linalg.eigh(B.conj().T @ B)  # ascending
+        tau = fro - np.cumsum(theta[::-1])  # fro carries the rounding slack of tau
+        j = int(np.argmax(tau < theta[-1])) + 1
+        if not tau[j - 1] < theta[-1]:
+            return None
+        Wh = (B @ V).conj().T @ X  # row i: (X^H X q_i)^H
+        R = Wh[-j:] - theta[-j:, None] * (Q @ V[:, -j:]).conj().T
+        last, width = width, float(np.vdot(R, R).real) / float(theta[-1] - tau[j - 1])
+        if width <= _BLOCK_TOL * theta[-1]:
+            return float(theta[-1])
+        if width >= last:
+            return None
 
 
 def _transfer(s: complex, ginv: np.ndarray, fv: complex, L: np.ndarray) -> np.ndarray:

@@ -736,6 +736,11 @@ class TestErrorsAndReproducibility:
                       "input": {"family": "sinusoid"}}, 2, "config"),
         ("freqdep", {"net": INTEGRATOR_NET, "sweep": {"alphas": [0.0, 0.1]},
                      "simulate": {"t_end": 1.0}}, 2, "config"),
+        ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {
+            "num_0": {"kind": "uniform", "lo": -1e308, "hi": 1e308},
+            "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
+            "den_1": {"kind": "uniform", "lo": 1, "hi": 2}}},
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -757,7 +762,8 @@ class TestErrorsAndReproducibility:
             "freqdep-shape-count", "self-loop-edge", "negative-edge-weight",
             "edge-out-of-range", "builder-n-1", "analyze-negative-alpha",
             "unused-ensemble-param", "rect-grid-zero-sigma", "uniform-lo-ge-hi",
-            "normal-negative-sd", "sinusoid-without-alpha", "freqdep-zero-alpha"])
+            "normal-negative-sd", "sinusoid-without-alpha", "freqdep-zero-alpha",
+            "uniform-width-overflows"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd

@@ -191,6 +191,13 @@ class TestDistribution:
         with pytest.raises(ValueError, match="^sd must be non-negative$"):
             normal(0.0, -1.0, 0.0, 1.0)
 
+    def test_overflowing_uniform_width_refused(self):
+        # the width was unchecked, and sample() raised numpy's OverflowError
+        with pytest.raises(ValueError, match=r"^uniform width hi - lo must be a finite "
+                                             r"number, got inf$"):
+            uniform(-1e308, 1e308)
+        assert normal(0.0, 1.0, -1e308, 1e308).sample(np.random.default_rng(0), 3).size == 3
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name,build", [
         ("lo", lambda x: uniform(x, 1.0)), ("hi", lambda x: uniform(0.0, x)),

@@ -4,6 +4,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -894,6 +895,83 @@ class TestNorm2:
         # a subnormal result carries only the absolute precision 2**-1074
         slack = math.ulp(0.0) if ref < sys.float_info.min else 0.0
         assert abs(got - ref) <= 1e-14 * ref + slack
+
+
+def _spy(name):
+    """Patch np.linalg.<name> with a spy that records its calls."""
+    return mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
+
+
+class TestBlockNorm:
+    """_norm2's block route: certified where a few modes carry X, and a cheap
+    give-up, before the Gram matrix's eigvalsh, where the spectrum is flat."""
+
+    @given(st.integers(netfreq._BLOCK_MIN, 160), st.integers(netfreq._BLOCK_MIN, 160),
+           st.booleans(), st.sampled_from([1.0, 0.9995, 0.99, 0.7]),
+           st.floats(0.3, 0.9), st.integers(-8, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_on_a_dominant_cluster(self, m, n, is_complex, second, decay,
+                                             decade, seed):
+        # sigma_1 and sigma_2 (an exact double pair at 1.0), two middle values and
+        # a geometric tail from 0.1: the block of 4 gains (sigma_5/sigma_2)^2 <= 0.02
+        # per step
+        rng = np.random.default_rng(seed)
+
+        def orthonormal(rows, cols):
+            A = rng.standard_normal((rows, cols))
+            return np.linalg.qr(A + 1j * rng.standard_normal((rows, cols))
+                                if is_complex else A)[0]
+
+        r = min(m, n)
+        sigma = np.concatenate(([1.0, second], rng.uniform(0.2, 0.5, 2),
+                                0.1 * decay ** np.arange(r - 4)))
+        X = (orthonormal(m, r) * sigma) @ orthonormal(n, r).conj().T * 10.0 ** decade
+        ref = np.linalg.norm(X, 2)
+        with _strict(), _spy("eigvalsh") as full, _spy("eigh") as steps:
+            got = netfreq._norm2(X)
+        assert full.call_count == 0 and 1 <= steps.call_count <= netfreq._BLOCK_STEPS
+        assert type(got) is float
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_ring_sweep_above_the_threshold_runs_no_full_eigvalsh(self):
+        rng = np.random.default_rng(11)
+        n = 200
+        net = NetworkModel([swing(m, d) for m, d in zip(rng.uniform(1, 3, n),
+                                                        rng.uniform(0.5, 1.5, n))],
+                           ONE, builder("ring", n))
+        region = FrequencyRegion("vertical_segment", 0.0, (-1, 1), 9)
+        M1, M2 = estimate_majorants(net, region)
+        star = (M2 + M1 * M2 * M2) / net.laplacian.lambda2
+        with _spy("eigvalsh") as full:
+            rows = connectivity_sweep(net, region, [2 * star, 4 * star])
+        assert [c for c in full.call_args_list if c.args[0].shape == (n, n)] == []
+        assert all(r.bound_valid for row in rows for r in row.reports)
+        for row in rows:
+            scaled = net.scaled(row.alpha)
+            for r in row.reports[::4]:
+                X = eval_T(scaled, r.s) - net.gbar(r.s) / n
+                assert r.measured == pytest.approx(np.linalg.norm(X, 2), rel=1e-13)
+
+    def test_flat_spectrum_gives_up_within_two_steps(self):
+        # the full-network experiment's complete graph: X = T - (gbar/n) 11^T is
+        # a diagonal plus rank two, its singular values all of one size
+        rng = np.random.default_rng(5)
+        n = 128
+        assert n >= netfreq._BLOCK_MIN
+        net = NetworkModel([swing(m, d) for m, d in zip(rng.uniform(1, 3, n),
+                                                        rng.uniform(0.5, 1.5, n))],
+                           ONE, builder("complete", n))
+        X = eval_T(net, 0.5j) - net.gbar(0.5j) / n
+        ref = np.linalg.norm(X, 2)
+        with _strict(), _spy("eigvalsh") as full, _spy("eigh") as steps:
+            got = netfreq._norm2(X)
+        assert full.call_count == 1 and steps.call_count <= 2
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_zero_matrix_at_block_size(self):
+        with _strict(), _spy("eigvalsh") as full:
+            got = netfreq._norm2(np.zeros((netfreq._BLOCK_MIN, 100), complex))
+        assert type(got) is float and got == 0.0 and full.call_count == 1
 
 
 class TestRegionPoints:
