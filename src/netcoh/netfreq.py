@@ -192,6 +192,7 @@ def _horner(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan on overflow: _transfer refuses it
 def _node_inverses(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
     """g_i^{-1}(s_k) = den_i(s_k) / num_i(s_k) of coefficient rows, shape
     (points, nodes); a node zero gives complex infinity, as eval_inverse."""

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,19 +252,22 @@ class TestSimulate:
         arrays = 100001 * 6 * 8  # t, y_1..y_3, ybar and ycoi as float64
         assert peak < 1.5 * arrays + 2 * 2**20
 
-    def test_unstable_exit_4(self, tmp_path):
-        cfg = {
-            "net": {
-                "nodes": [{"num": [1], "den": [-1, 1]},
-                          {"num": [1], "den": [-1, 1]}],
-                "coupling": {"num": [1], "den": [1]},
-                "laplacian": {"builder": {"kind": "path", "n": 2,
-                                          "weight": 1e-6}},
-            },
-            "simulate": {"t_end": 1.0, "dt": 0.1},
-        }
-        path = write_cfg(tmp_path, cfg)
-        assert run("simulate", path, out=str(tmp_path)) == 4
+    def test_unstable_exit_4(self, tmp_path, capsys):
+        # two unstable nodes on a weak edge, and node inverses summing to 3s - 1,
+        # which keep a closed-loop eigenvalue near s = 1/3 at any coupling
+        # strength (Re = 0.338 here): refused before the output directory is made
+        nets = [
+            {"nodes": [{"num": [1], "den": [-1, 1]}] * 2,
+             "laplacian": {"builder": {"kind": "path", "n": 2, "weight": 1e-6}}},
+            {"nodes": [{"num": [1], "den": [-2, 1]}] + [{"num": [1], "den": [0.5, 1]}] * 2,
+             "laplacian": {"builder": {"kind": "complete", "n": 3, "weight": 100}}}]
+        for k, net in enumerate(nets):
+            cfg = {"net": dict(net, coupling={"num": [1], "den": [1]}),
+                   "simulate": {"t_end": 1.0, "dt": 0.1}}
+            out = tmp_path / f"out{k}"
+            assert run("simulate", write_cfg(tmp_path, cfg), out=str(out)) == 4
+            assert capsys.readouterr().err.startswith("error: kind=UnstableModel detail=")
+            assert not out.exists()
 
     def test_singular_feedthrough_loop_exit_3(self, tmp_path, capsys):
         node = {"num": [1], "den": [1]}
@@ -426,8 +432,9 @@ HALF_ZERO_ENSEMBLE = {"family": "custom_coeffs", "params": {
 
 
 def _float_gbar_runs() -> dict:
-    """Named (command, config) pairs shaped like the benchmark's workloads,
-    at a smaller size, plus turbine bound and simulate runs."""
+    """Named (command, config, rows) runs shaped like the benchmark's workloads,
+    at a smaller size, plus turbine, node-zero and feedthrough runs; rows counts
+    the data rows of the command's first artifact."""
     rng = np.random.default_rng(17)
     seg = {"kind": "vertical_segment", "sigma": 0.0, "omega_range": [-1, 1],
            "resolution": 17}
@@ -436,29 +443,52 @@ def _float_gbar_runs() -> dict:
     sim = {"t_end": 5.0, "dt": 2e-3, "inertias": [1.0, 2.0, 1.5, 3.0]}
     return {
         "analyze": ("analyze", {"net": _swing_ring(rng, 20, 1.0), "region": seg,
-                                "sweep": {"alphas": [1.0, 10.0, 100.0, 1000.0]}}),
-        "bound": ("bound", {"net": _swing_ring(rng, 20, 500.0), "region": rect}),
+                                "sweep": {"alphas": [1.0, 10.0, 100.0, 1000.0]}}, 4 * 17),
+        "bound": ("bound", {"net": _swing_ring(rng, 20, 500.0), "region": rect}, 25),
         "simulate": ("simulate", {"net": _swing_ring(rng, 4, 1.0), "input": step,
-                                  "simulate": sim}),
+                                  "simulate": sim}, 2501),
         "freqdep": ("freqdep", {"net": dict(_swing_ring(rng, 4, 1.0), coupling={
             "num": [1.0], "den": [0.0, 1.0]}), "sweep": {"alphas": [0.05, 0.4]},
-            "simulate": {"t_end": 10.0, "dt": 1e-2}}),
+            "simulate": {"t_end": 10.0, "dt": 1e-2}}, 2),
         "concentrate": ("concentrate", {"ensemble": CONCENTRATE_ENSEMBLE, "region": seg,
-                                        "sweep": {"sizes": [10, 40], "trials": 3}}),
+                                        "sweep": {"sizes": [10, 40], "trials": 3}}, 6),
+        # trials whose exact node zeros sit beside near-zeros: gbar_n = 0, no inf
         "concentrate-node-zero": ("concentrate", {
             "ensemble": HALF_ZERO_ENSEMBLE, "sweep": {"sizes": [1, 2, 10], "trials": 5},
-            "region": dict(seg, sigma=0.5, resolution=9)}),
+            "region": dict(seg, sigma=0.5, resolution=9)}, 15),
         # node zeros and near-zeros (|g^-1| near 1e16) through the row-scaled kernel
         "concentrate-full-network-node-zero": ("concentrate", {
             "ensemble": HALF_ZERO_ENSEMBLE, "region": dict(seg, sigma=0.5, resolution=9),
-            "sweep": {"sizes": [2, 3, 10, 40], "trials": 3, "full_network": True}}),
-        "turbine-bound": ("bound", {"net": _turbine_ring(rng, 12, 50.0), "region": rect}),
+            "sweep": {"sizes": [2, 3, 10, 40], "trials": 3, "full_network": True}}, 12),
+        "turbine-bound": ("bound", {"net": _turbine_ring(rng, 12, 50.0), "region": rect},
+                          25),
+        # on Re s = -1, through node 1's zero at s = -1
+        "turbine-analyze-node-zero": ("analyze", {"net": {
+            "nodes": [{"num": [1, 1], "den": [4, 3, 2]},
+                      {"num": [1, 2.5], "den": [4.8, 3.5, 3.75]},
+                      {"num": [1, 4], "den": [3.2, 7.3, 10]}],
+            "coupling": {"num": [1], "den": [1]},
+            "laplacian": {"builder": {"kind": "ring", "n": 3, "weight": 20}}},
+            "region": dict(seg, sigma=-1.0, resolution=5)}, 5),
         "turbine-simulate": ("simulate", {"net": _turbine_ring(rng, 4, 1.0), "input": step,
-                                          "simulate": sim}),
+                                          "simulate": sim}, 2501),
+        # direct feedthrough in every node and in f
+        "feedthrough-simulate": ("simulate", {"net": {
+            "nodes": [{"num": [1, 2], "den": [1.5, 1]}, {"num": [0.5, 1], "den": [2, 1]},
+                      {"num": [2, 0.5], "den": [1, 1]}],
+            "coupling": {"num": [2, 1], "den": [1, 1]},
+            "laplacian": {"builder": {"kind": "ring", "n": 3}}},
+            "simulate": {"t_end": 2.0, "dt": 0.01}}, 201),
     }
 
 
 FLOAT_GBAR_RUNS = _float_gbar_runs()
+
+
+def _data_rows(path) -> list:
+    """A CSV artifact's rows of cells below its comment lines and header."""
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")][1:]
 
 
 class TestFloatGbar:
@@ -466,7 +496,8 @@ class TestFloatGbar:
     aggregate builds the exact harmonic mean."""
 
     @pytest.mark.parametrize("case", sorted(FLOAT_GBAR_RUNS))
-    def test_runs_without_the_exact_harmonic_mean(self, tmp_path, monkeypatch, case):
+    def test_runs_without_the_exact_harmonic_mean(self, tmp_path, capsys, monkeypatch,
+                                                  case):
         def refuse(gs):
             raise AssertionError("a numeric path built the exact harmonic mean")
 
@@ -475,8 +506,13 @@ class TestFloatGbar:
         for name, module in list(sys.modules.items()):
             if name.partition(".")[0] == "netcoh" and vars(module).get("harmonic_mean") is real:
                 monkeypatch.setattr(module, "harmonic_mean", refuse)
-        command, cfg = FLOAT_GBAR_RUNS[case]
+        command, cfg, rows = FLOAT_GBAR_RUNS[case]
         assert run(command, write_cfg(tmp_path, cfg), out=str(tmp_path)) == 0
+        # every grid point, trial or sample writes a row, and no cell is inf or nan
+        tables = [_data_rows(Path(name)) for name in capsys.readouterr().out.split()
+                  if name.endswith(".csv")]
+        assert len(tables[0]) == rows
+        assert [c for t in tables for r in t for c in r if c in ("inf", "-inf", "nan")] == []
 
     def test_improper_gbar(self, tmp_path, capsys):
         # inverses s and -s + 1/(s + 2) sum to 1/(s + 2): gbar = 2(s + 2)
@@ -741,6 +777,19 @@ class TestErrorsAndReproducibility:
             "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
             "den_1": {"kind": "uniform", "lo": 1, "hi": 2}}},
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        # Horner overflows at Re s = 1e10: g_1^{-1} is inf or nan there
+        ("analyze", {"net": dict(SWING_NET, nodes=[
+            {"num": [1e300, 1e300], "den": [1e300, 1e300, 1]}, {"num": [1], "den": [1, 1]}],
+            laplacian={"builder": {"kind": "path", "n": 2}}),
+            "region": {"kind": "vertical_segment", "sigma": 1e10, "resolution": 3}},
+         3, "SingularAtS"),
+        ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {
+            "num_0": {"kind": "point", "value": 1.0},
+            "num_1": {"kind": "point", "value": 1.0},
+            "num_2": {"kind": "uniform", "lo": 1, "hi": 2},
+            "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
+            "den_1": {"kind": "point", "value": 1.0}}},
+            "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -763,7 +812,7 @@ class TestErrorsAndReproducibility:
             "edge-out-of-range", "builder-n-1", "analyze-negative-alpha",
             "unused-ensemble-param", "rect-grid-zero-sigma", "uniform-lo-ge-hi",
             "normal-negative-sd", "sinusoid-without-alpha", "freqdep-zero-alpha",
-            "uniform-width-overflows"])
+            "uniform-width-overflows", "overflowing-node-values", "improper-sampled-node"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd
@@ -775,6 +824,9 @@ class TestErrorsAndReproducibility:
         err = capsys.readouterr().err
         assert err.startswith(f"error: kind={kind} detail=")
         assert "Traceback" not in err
+        # nothing written beside the inputs
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*BAD_EDGE_FILES,
+                                                                     "cfg.json"])
 
     @pytest.mark.parametrize("command,cfg", [
         ("analyze", {"net": dict(SWING_NET, laplacian={"file": "absent.txt"})}),
@@ -823,6 +875,17 @@ class TestErrorsAndReproducibility:
     def test_unknown_command_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, {"net": SWING_NET})
         assert run("frobnicate", path, out=str(tmp_path)) == 2
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m netcoh.cli runs main and exits with its status
+        path = write_cfg(tmp_path, {"net": SWING_NET, "region": {"resolution": 5}})
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "netcoh.cli", "analyze",
+                               path, "--out", str(out)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{out / 'sweep.csv'}\n", "")
+        assert len(_data_rows(out / "sweep.csv")) == 5
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = {

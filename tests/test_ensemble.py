@@ -184,6 +184,10 @@ class TestDistribution:
         # taken from the Mills ratio, which does not underflow
         assert normal(0.0, 1.0, lo, hi).mean() == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown distribution 'bogus'$"):
+            ensemble.Distribution("bogus")
+
     def test_invalid_bounds(self):
         with pytest.raises(ValueError, match=r"^truncation bounds must satisfy "
                                              r"lo < hi, got \[2\.0, 1\.0\]$"):

@@ -94,6 +94,15 @@ class TestEvalT:
         oracle = np.linalg.solve(np.eye(2) + G @ builder("path", 2).entries, G)
         assert T == pytest.approx(oracle)
 
+    @pytest.mark.parametrize("s", [1e10 - 1j, 1e10, 1e10 + 1j])
+    def test_overflowing_node_values_are_singular(self, s):
+        # Horner overflows g_1^{-1}'s numerator and denominator to inf at
+        # Re s = 1e10: their quotient is nan, refused before the solve
+        g1 = RF([1e300, 1e300], [1e300, 1e300, 1])
+        net = NetworkModel([g1, swing(1, 1)], ONE, builder("path", 2))
+        with pytest.raises(SingularAtSError, match="^closed-loop matrix not finite at s="):
+            eval_T(net, s)
+
     def test_eigenform_route_consistency(self):
         rng = np.random.default_rng(5)
         net = random_swing_net(rng, 4)

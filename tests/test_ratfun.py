@@ -416,6 +416,21 @@ class TestStateSpace:
             rf([1, 1, 1], [1, 1]).to_state_space()
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Polynomial([1, math.nan]), ValueError, "^non-finite coefficient nan$"),
+    (lambda: Polynomial([1, "1"]), TypeError, "^unsupported coefficient type str$"),
+    (lambda: StateSpaceModel(np.zeros((1, 2)), [[1]], [[1]], [[0]]), ValueError,
+     "^A must be square$"),
+    (lambda: StateSpaceModel([[0]], np.ones((2, 1)), [[1]], [[0]]), ValueError,
+     "^B/C dimensions inconsistent with A$"),
+    (lambda: StateSpaceModel([[0]], [[1]], [[1]], np.zeros((2, 1))), ValueError,
+     "^D dimensions inconsistent with B/C$"),
+], ids=["nan-coefficient", "str-coefficient", "non-square-A", "B-rows", "D-shape"])
+def test_malformed_input_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def _lines(*roots):
     """The monic polynomial with the given roots."""
     return _product([Polynomial([-r, 1]) for r in roots])
