@@ -18,8 +18,8 @@ from functools import reduce
 import numpy as np
 
 from . import netfreq
-from .errors import (CoherentPoleAtSError, NotAffineError, require_increasing,
-                     require_number)
+from .errors import (CoherentPoleAtSError, NotAffineError, SingularAtSError,
+                     require_increasing, require_number)
 from .netfreq import (FrequencyRegion, _class_norms, _gbar_values, _inverse_sum,
                       _node_inverses, _pad)
 from .ratfun import INFINITY, RationalFunction, harmonic_realization
@@ -293,6 +293,10 @@ def _ghat_on_grid(spec, region):
     except NotAffineError:
         num, den = _sample_coeffs(spec, 10_000, 2**31 - 1)
         total = _inverse_sum(num, den, pts, [0])[0]
+        # a node zero makes one part infinite, and ghat its limit 0; a sum
+        # with no value (a nan part, or both parts infinite) overflowed
+        if (np.isnan(total) | np.isinf(total.real) & np.isinf(total.imag)).any():
+            raise SingularAtSError("Monte-Carlo ghat: the node inverses overflowed")
         return pts, np.divide(len(num), total, out=np.full(total.shape, INFINITY),
                               where=total != 0)
     return pts, np.array([ghat(s) for s in pts])

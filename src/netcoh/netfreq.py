@@ -14,13 +14,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     BoundContradictedError,
     CoherentPoleAtSError,
-    DisconnectedError,
     InvalidMajorantsError,
     RegionContainsSingularityError,
     SingularAtSError,
@@ -43,8 +43,6 @@ __all__ = [
     "sweep_region",
     "transfer_norm_sweep",
     "connectivity_sweep",
-    "pole_approach_sweep",
-    "homogeneous_decomposition_check",
 ]
 
 MAJORANT_SAFETY = 1.05
@@ -79,40 +77,26 @@ class NetworkModel:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "laplacian", laplacian)
-        # exact gbar, float realization of gbar/n and float rows: each built
-        # on first use and shared with every copy over the same nodes
-        object.__setattr__(self, "_shared", {})
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def _cached(self, key: str, build):
-        if key not in self._shared:
-            self._shared[key] = build()
-        return self._shared[key]
-
-    @property
+    @cached_property
     def gbar(self) -> RationalFunction:
         """Harmonic mean of the nodes, computed exactly at most once."""
-        return self._cached("gbar", lambda: harmonic_mean(self.nodes))
+        return harmonic_mean(self.nodes)
 
-    @property
+    @cached_property
     def gbar_model(self) -> StateSpaceModel:
         """Float realization of gbar/n = (sum g_i^{-1})^{-1}, built at most once."""
-        return self._cached("gbar_model", lambda: harmonic_realization(self.nodes))
+        return harmonic_realization(self.nodes)
 
-    @property
+    @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Node numerators and denominators as zero-padded rows of ascending
         float coefficients, shapes (n, p) and (n, q)."""
-        return self._cached("rows", lambda: (_pad([g.num for g in self.nodes]),
-                                             _pad([g.den for g in self.nodes])))
-
-    def scaled(self, alpha: float) -> "NetworkModel":
-        net = NetworkModel(self.nodes, self.coupling, self.laplacian.scale(alpha))
-        object.__setattr__(net, "_shared", self._shared)
-        return net
+        return _pad([g.num for g in self.nodes]), _pad([g.den for g in self.nodes])
 
 
 @dataclass(frozen=True)
@@ -202,6 +186,7 @@ def _node_inverses(num: np.ndarray, den: np.ndarray, pts) -> np.ndarray:
                      where=nv != 0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan on overflow: see its callers
 def _inverse_sum(num: np.ndarray, den: np.ndarray, pts, blocks) -> np.ndarray:
     """sum_i g_i^{-1}(s) at each point s, one row per block of consecutive rows
     (blocks: each non-empty block's first row, ascending from 0).  A run of equal
@@ -329,23 +314,30 @@ def _class_norms(pts, ginv, gbar, fvs, L: np.ndarray, t_norm=False):
         yield solved[key]
 
 
-def _sweep(net: NetworkModel, pts, M1=None, M2=None, t_norm=False):
-    """Incoherence reports at pts, with the norm bound when M1 and M2 are
-    given, and ||T(s)||_2 and |gbar(s)| at each point when t_norm.  Each point
-    checks coherent pole, coupling pole and singular matrix (in _class_norms,
-    the last two once per conjugate class), majorants, then a valid bound
-    below the measured value (BoundContradictedError)."""
+def _grid(net: NetworkModel, pts):
+    """pts with the nodes' inverses g_i^{-1}(s), shape (points, nodes), gbar(s)
+    and f(s) there: the part of a sweep that L does not change."""
     ginv = _node_inverses(*net._rows, pts)
-    gbars = _gbar_values(net.n, pts, ginv.sum(1)[None], lambda t: net.gbar_model)[0].tolist()
-    fvs = [net.coupling(s) for s in pts]
-    norms = _class_norms(pts, ginv, gbars, fvs, net.laplacian.entries, t_norm)
+    gbars = _gbar_values(net.n, pts, ginv.sum(1)[None], lambda t: net.gbar_model)[0]
+    return pts, ginv, gbars, [net.coupling(s) for s in pts]
+
+
+def _sweep(grid, laplacian: LaplacianMatrix, M1=None, M2=None, t_norm=False):
+    """Incoherence reports at a _grid's points, with the norm bound when M1 and
+    M2 are given, and ||T(s)||_2 and |gbar(s)| at each point when t_norm.  Each
+    point checks coherent pole, coupling pole and singular matrix (in
+    _class_norms, the last two once per conjugate class), majorants, then a
+    valid bound below the measured value (BoundContradictedError)."""
+    pts, ginv, gbars, fvs = grid
+    gbars = gbars.tolist()
+    norms = _class_norms(pts, ginv, gbars, fvs, laplacian.entries, t_norm)
     bounded = M1 is not None and M2 is not None
     reports, t_norms, gains = [], [], []
     for s, row, gbar, fv, (measured, t) in zip(pts, ginv, gbars, fvs, norms):
         if t_norm:
             t_norms.append(t)
             gains.append(abs(gbar))
-        eff = abs(fv) * net.laplacian.lambda2
+        eff = abs(fv) * laplacian.lambda2
         if not bounded:
             reports.append(IncoherenceReport(s, measured, eff))
             continue
@@ -382,7 +374,7 @@ def aggregate_dynamics(net: NetworkModel) -> RationalFunction:
 
 def incoherence(net: NetworkModel, s: complex) -> IncoherenceReport:
     """Spectral norm of T(s) - (1/n) gbar(s) 11^T."""
-    return _sweep(net, [s])[0][0]
+    return _sweep(_grid(net, [s]), net.laplacian)[0][0]
 
 
 def lemma_bound(net: NetworkModel, s: complex,
@@ -393,16 +385,12 @@ def lemma_bound(net: NetworkModel, s: complex,
     the bound is populated only when |f(s)| lambda_2 strictly exceeds
     M2 + M1 M2^2.
     """
-    return _sweep(net, [s], M1, M2)[0][0]
+    return _sweep(_grid(net, [s]), net.laplacian, M1, M2)[0][0]
 
 
-def estimate_majorants(net: NetworkModel,
-                       region: FrequencyRegion) -> tuple[float, float]:
-    """Grid suprema of |gbar| and max_i |g_i^{-1}|, inflated by 1.05.
-
-    The region must avoid the poles of gbar (the eigenvalues of net.gbar_model)
-    and the zeros of every g_i: RegionContainsSingularityError names the root.
-    """
+def _majorants(net: NetworkModel, region: FrequencyRegion):
+    """The region's _grid and the grid suprema of |gbar| and
+    max_i |g_i^{-1}|, inflated by 1.05, after the region's singularity checks."""
     for p in np.linalg.eigvals(net.gbar_model.A).tolist():
         if region.contains(p):
             raise RegionContainsSingularityError(
@@ -414,10 +402,19 @@ def estimate_majorants(net: NetworkModel,
                 raise RegionContainsSingularityError(
                     f"region contains node zero {z}", root=z
                 )
-    pts = region.points()
-    ginv = _node_inverses(*net._rows, pts)
-    M1 = np.abs(_gbar_values(net.n, pts, ginv.sum(1)[None], lambda t: net.gbar_model))
-    return float(M1.max()) * MAJORANT_SAFETY, float(np.abs(ginv).max()) * MAJORANT_SAFETY
+    grid = _, ginv, gbars, _ = _grid(net, region.points())
+    return (grid, float(np.abs(gbars).max()) * MAJORANT_SAFETY,
+            float(np.abs(ginv).max()) * MAJORANT_SAFETY)
+
+
+def estimate_majorants(net: NetworkModel,
+                       region: FrequencyRegion) -> tuple[float, float]:
+    """Grid suprema of |gbar| and max_i |g_i^{-1}|, inflated by 1.05.
+
+    The region must avoid the poles of gbar (the eigenvalues of net.gbar_model)
+    and the zeros of every g_i: RegionContainsSingularityError names the root.
+    """
+    return _majorants(net, region)[1:]
 
 
 def sweep_region(net: NetworkModel, region: FrequencyRegion,
@@ -427,7 +424,7 @@ def sweep_region(net: NetworkModel, region: FrequencyRegion,
 
     When majorants are supplied each report carries the norm bound.
     """
-    reports = _sweep(net, region.points(), M1, M2)[0]
+    reports = _sweep(_grid(net, region.points()), net.laplacian, M1, M2)[0]
     return reports, max(r.measured for r in reports)
 
 
@@ -435,7 +432,7 @@ def transfer_norm_sweep(net: NetworkModel, region: FrequencyRegion,
                         ) -> tuple[list[IncoherenceReport], list[float], list[float]]:
     """sweep_region's reports, ||T(s)||_2 and the coherent gain |gbar(s)| at
     every grid point: the norms from one solve, gbar from the same evaluation."""
-    return _sweep(net, region.points(), t_norm=True)
+    return _sweep(_grid(net, region.points()), net.laplacian, t_norm=True)
 
 
 @dataclass(frozen=True)
@@ -450,62 +447,15 @@ def connectivity_sweep(net: NetworkModel, region: FrequencyRegion,
                        alphas: list[float]) -> list[ConnectivityRow]:
     """Sup incoherence and per-point reports per Laplacian scaling.
 
-    Majorants are fixed once from the unscaled node dynamics; scaling L
+    The grid is evaluated once, and the majorants taken from it: scaling L
     leaves gbar and the g_i untouched.
     """
     require_increasing("alphas", alphas)
-    M1, M2 = estimate_majorants(net, region)
+    grid, M1, M2 = _majorants(net, region)
     rows = []
     for alpha in alphas:
-        scaled = net.scaled(alpha)
-        reports, sup = sweep_region(scaled, region, M1=M1, M2=M2)
-        rows.append(ConnectivityRow(alpha, scaled.laplacian.lambda2, sup, reports))
+        L = net.laplacian.scale(alpha)
+        reports = _sweep(grid, L, M1, M2)[0]
+        rows.append(ConnectivityRow(alpha, L.lambda2, max(r.measured for r in reports),
+                                    reports))
     return rows
-
-
-def _require_positive(name: str, value) -> None:
-    if not require_number(name, value) > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def loglog_slope(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope of log(y) against log(x); x, y > 0, x not all equal."""
-    if len(xs) != len(ys) or len(set(xs)) < 2:
-        raise ValueError(f"need 2 or more distinct x, one y each; got {xs!r}, {ys!r}")
-    for v in (*xs, *ys):
-        _require_positive("each x and y", v)
-    lx = np.log(np.asarray(xs))
-    ly = np.log(np.asarray(ys))
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
-def pole_approach_sweep(net: NetworkModel, pole_of_f: complex,
-                        radii: list[float]) -> list[tuple[float, float]]:
-    """Incoherence at s = pole_of_f + radius for each radius > 0."""
-    for r in radii:
-        _require_positive("radius", r)
-    if net.laplacian.lambda2 <= 0:
-        raise DisconnectedError("pole approach requires lambda_2(L) > 0")
-    f_poles = net.coupling.poles()
-    if not any(abs(p - pole_of_f) < 1e-7 for p in f_poles):
-        raise ValueError(f"{pole_of_f} is not a pole of the coupling")
-    reports = _sweep(net, [pole_of_f + r for r in radii])[0]
-    return [(float(r), rep.measured) for r, rep in zip(radii, reports)]
-
-
-def homogeneous_decomposition_check(g: RationalFunction, f: RationalFunction,
-                                    L: LaplacianMatrix, s: complex) -> float:
-    """Deviation of T(s) from the homogeneous two-term decomposition
-    (1/n) g 11^T + V_perp diag{1/(g^{-1} + f lambda_i)} V_perp^T.
-
-    V_perp = Q W spans 1-perp for any graph: Q holds the first n - 1 left
-    singular vectors of I - 11^T/n and Q^T L Q = W diag{lambda_i} W^T."""
-    n = L.n
-    T = eval_T(NetworkModel([g] * n, f, L), s)
-    Q = np.linalg.svd(np.eye(n) - 1.0 / n)[0][:, :n - 1]
-    lam, W = np.linalg.eigh(Q.T @ L.entries @ Q)
-    Vp = Q @ W
-    modes = 1.0 / (g.eval_inverse(s) + f(s) * lam)
-    rhs = (g(s) / n) * np.ones((n, n)) + (Vp * modes) @ Vp.T
-    return float(np.max(np.abs(T - rhs)))
-

@@ -23,10 +23,8 @@ from netcoh.netfreq import (
     aggregate_dynamics,
     connectivity_sweep,
     eval_T,
-    homogeneous_decomposition_check,
+    incoherence,
     lemma_bound,
-    loglog_slope,
-    pole_approach_sweep,
 )
 from netcoh.ratfun import RationalFunction as RF
 from netcoh.timedomain import (
@@ -35,6 +33,7 @@ from netcoh.timedomain import (
     coherence_experiment,
     frequency_dependence_experiment,
 )
+from oracles import homogeneous_decomposition_check, loglog_slope
 
 ONE = RF([1], [1])
 INTEGRATOR = RF([1], [0, 1])
@@ -85,7 +84,8 @@ def test_01_bound_soundness():
             need = (M2 + M1 * M2 * M2) / (
                 abs(net.coupling(s)) * net.laplacian.lambda2
             )
-            scaled = net.scaled(need * rng.uniform(1.2, 50.0))
+            scaled = NetworkModel(net.nodes, net.coupling,
+                                  net.laplacian.scale(need * rng.uniform(1.2, 50.0)))
             rep = lemma_bound(scaled, s, M1, M2)
             if not rep.bound_valid:
                 continue
@@ -128,7 +128,7 @@ def test_04_coupling_pole_coherence():
              swing(0.9, 1.1)],
             INTEGRATOR, builder("complete", 4),
         )
-        rows = dict(pole_approach_sweep(net, 0.0, [1.0, 1e-3]))
+        rows = {s: incoherence(net, s).measured for s in (1.0, 1e-3)}
         assert rows[1e-3] * 10.0 <= rows[1.0], f"ratio too small: {rows}"
 
 
@@ -196,8 +196,9 @@ def test_08_time_domain_coherence_trend():
         for alpha in (1.0, 10.0, 100.0):
             # the sampling interval tracks the fastest coupling mode, so the
             # sampled sup of the deviation resolves its transient
-            res = coherence_experiment(_k4_swing(ONE).scaled(alpha), sig,
-                                       10.0, 1e-2 / alpha)
+            k4 = _k4_swing(ONE)
+            net = NetworkModel(k4.nodes, ONE, k4.laplacian.scale(alpha))
+            res = coherence_experiment(net, sig, 10.0, 1e-2 / alpha)
             devs.append(res.deviation_linf)
         assert devs[0] > devs[1] > devs[2], f"not decreasing: {devs}"
 

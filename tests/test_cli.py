@@ -790,6 +790,22 @@ class TestErrorsAndReproducibility:
             "den_0": {"kind": "uniform", "lo": 1, "hi": 2},
             "den_1": {"kind": "point", "value": 1.0}}},
             "sweep": {"sizes": [4], "trials": 2}}, 2, "config"),
+        # the Monte-Carlo ghat's inverse sums overflow at Re s = 1e10
+        ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {
+            "num_0": {"kind": "point", "value": 1e300},
+            "num_1": {"kind": "uniform", "lo": 1e300, "hi": 1.5e300},
+            "den_0": {"kind": "point", "value": 1e300},
+            "den_1": {"kind": "point", "value": 1e300},
+            "den_2": {"kind": "uniform", "lo": 1, "hi": 2}}},
+            "region": {"kind": "vertical_segment", "sigma": 1e10, "resolution": 3},
+            "sweep": {"sizes": [10], "trials": 2}}, 3, "SingularAtS"),
+        # each inverse is finite, near 1e307, and their Monte-Carlo sum overflows
+        ("concentrate", {"ensemble": {"family": "custom_coeffs", "params": {
+            "num_0": {"kind": "uniform", "lo": 1.0, "hi": 1.0000000000000002},
+            "num_1": {"kind": "point", "value": 1.0},
+            "den_0": {"kind": "point", "value": 1e307},
+            "den_1": {"kind": "point", "value": 1.0}}},
+            "sweep": {"sizes": [4], "trials": 2}}, 3, "SingularAtS"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -812,7 +828,8 @@ class TestErrorsAndReproducibility:
             "edge-out-of-range", "builder-n-1", "analyze-negative-alpha",
             "unused-ensemble-param", "rect-grid-zero-sigma", "uniform-lo-ge-hi",
             "normal-negative-sd", "sinusoid-without-alpha", "freqdep-zero-alpha",
-            "uniform-width-overflows", "overflowing-node-values", "improper-sampled-node"])
+            "uniform-width-overflows", "overflowing-node-values", "improper-sampled-node",
+            "monte-carlo-ghat-overflow", "monte-carlo-ghat-sum-overflow"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd

@@ -186,6 +186,13 @@ class TestInvariants:
             L = from_edge_list([(0, 1, 1.0), (2, 3, 1.0)], 4)
         assert (L.lambda2, np.count_nonzero(L.eigenvalues == 0)) == (0.0, 2)
 
+    def test_two_weighted_components_have_zero_lambda2(self):
+        # eigh puts lambda_2 of this graph at about 1e-17; it is snapped to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = from_edge_list([(0, 1, 0.3), (2, 3, 0.3), (3, 4, 0.3)], 5)
+        assert L.lambda2 == 0.0
+
     def test_scaled_copy_does_not_warn_again(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -16,7 +16,6 @@ from netcoh import netfreq, ratfun
 from netcoh.errors import (
     BoundContradictedError,
     CoherentPoleAtSError,
-    DisconnectedError,
     ImproperError,
     InvalidMajorantsError,
     NetcohError,
@@ -32,16 +31,14 @@ from netcoh.netfreq import (
     connectivity_sweep,
     estimate_majorants,
     eval_T,
-    homogeneous_decomposition_check,
     incoherence,
     lemma_bound,
-    loglog_slope,
-    pole_approach_sweep,
     sweep_region,
     transfer_norm_sweep,
 )
 from netcoh.ratfun import Polynomial
 from netcoh.ratfun import RationalFunction as RF
+from oracles import homogeneous_decomposition_check, loglog_slope
 from test_graph import _components
 
 ONE = RF([1], [1])
@@ -50,6 +47,10 @@ INTEGRATOR = RF([1], [0, 1])
 
 def swing(m, d):
     return RF([1], [d, m])
+
+
+def _scaled(net, alpha):
+    return NetworkModel(net.nodes, net.coupling, net.laplacian.scale(alpha))
 
 
 def zero_laplacian(n):
@@ -280,7 +281,7 @@ class TestLemmaBound:
                 need = (M2 + M1 * M2 * M2) / max(
                     abs(net.coupling(s)) * net.laplacian.lambda2, 1e-12
                 )
-                scaled = net.scaled(need * rng.uniform(1.5, 20.0))
+                scaled = _scaled(net, need * rng.uniform(1.5, 20.0))
                 rep = lemma_bound(scaled, s, M1, M2)
                 assert rep.bound_valid
                 assert rep.measured <= rep.bound + 1e-8
@@ -332,7 +333,7 @@ class TestSweeps:
         region = FrequencyRegion("vertical_segment", 0.1, (-1, 1), 9)
         sups = []
         for alpha in (1.0, 10.0, 100.0):
-            _, sup = sweep_region(net.scaled(alpha), region)
+            _, sup = sweep_region(_scaled(net, alpha), region)
             sups.append(sup)
         assert sups[0] > sups[1] > sups[2]
 
@@ -377,6 +378,25 @@ class TestSweeps:
         with pytest.raises(NotIncreasingError):
             connectivity_sweep(net, region, [1.0, 1.0])
 
+    def test_connectivity_sweep_evaluates_the_grid_once(self, monkeypatch):
+        f = RF([1], [1, 0.5])
+        net = random_swing_net(np.random.default_rng(7), 4, f=f)
+        region = FrequencyRegion("vertical_segment", 0.2, (-1, 1), 5)
+        calls = []
+
+        def counted(name, fn):
+            return lambda *a: calls.append(name) or fn(*a)
+
+        monkeypatch.setattr(netfreq, "_node_inverses",
+                            counted("inverses", netfreq._node_inverses))
+        monkeypatch.setattr(NetworkModel, "__init__", counted("model", NetworkModel.__init__))
+        call = RF.__call__
+        monkeypatch.setattr(RF, "__call__",
+                            lambda g, s: g is f and calls.append("f") or call(g, s))
+        rows = connectivity_sweep(net, region, [1.0, 10.0, 100.0, 1000.0])
+        assert [len(r.reports) for r in rows] == [5] * 4
+        assert sorted(calls) == ["f"] * 5 + ["inverses"]
+
     def test_connectivity_sweep_no_exact_sum(self, exact_sums):
         net = random_swing_net(np.random.default_rng(5), 4)
         region = FrequencyRegion("vertical_segment", 0.2, (-1, 1), 5)
@@ -388,66 +408,12 @@ class TestSweeps:
 
 
 class TestPoleApproach:
-    def _swing_net(self):
-        return NetworkModel([swing(1, 1), swing(2, 1.2), swing(1.4, 0.7)],
-                            INTEGRATOR, builder("ring", 3))
-
     def test_incoherence_collapses_at_f_pole(self):
-        rows = pole_approach_sweep(self._swing_net(), 0.0,
-                                   [1.0, 0.1, 0.01, 0.001])
-        vals = [v for _, v in rows]
+        net = NetworkModel([swing(1, 1), swing(2, 1.2), swing(1.4, 0.7)],
+                           INTEGRATOR, builder("ring", 3))
+        vals = [incoherence(net, r).measured for r in [1.0, 0.1, 0.01, 0.001]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] * 10 <= vals[0]
-
-    def test_no_pole_rejected(self):
-        net = NetworkModel([swing(1, 1), swing(2, 1)], ONE, builder("path", 2))
-        with pytest.raises(ValueError, match=r"^0\.0 is not a pole of the coupling$"):
-            pole_approach_sweep(net, 0.0, [0.1])
-
-    def test_disconnected_rejected(self):
-        net = NetworkModel([swing(1, 1), swing(2, 1)], INTEGRATOR,
-                           zero_laplacian(2))
-        with pytest.raises(DisconnectedError):
-            pole_approach_sweep(net, 0.0, [0.1])
-
-    def test_two_weighted_components_rejected(self):
-        # eigh puts lambda_2 of this graph at about 1e-17, not at 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            L = from_edge_list([(0, 1, 0.3), (2, 3, 0.3), (3, 4, 0.3)], 5)
-        nodes = [swing(1, 1), swing(2, 2), swing(1.2, 1.5), swing(2, 1), swing(1.5, 0.8)]
-        with pytest.raises(DisconnectedError):
-            pole_approach_sweep(NetworkModel(nodes, INTEGRATOR, L), 0.0, [0.1])
-
-    @pytest.mark.parametrize("radii, message", [
-        ([0.1, -0.01], "radius must be positive"),
-        ([0.1, 0.0], "radius must be positive"),
-        ([float("nan")], "radius must be a finite number"),
-        ([float("inf")], "radius must be a finite number"),
-    ], ids=["negative-radius", "zero-radius", "nan-radius", "inf-radius"])
-    def test_bad_radius_or_direction_rejected(self, radii, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                pole_approach_sweep(self._swing_net(), 0.0, radii)
-
-
-@pytest.mark.parametrize("xs, ys, message", [
-    ([1.0, 10.0], [1.0, 0.0], "must be positive"),
-    ([-1.0, 10.0], [1.0, 2.0], "must be positive"),
-    ([1.0, 10.0], [1.0, float("nan")], "must be a finite number"),
-    ([1.0, float("inf")], [1.0, 2.0], "must be a finite number"),
-    ([1.0, 10.0, 100.0], [1.0, 2.0], "need 2 or more"),
-    ([1.0], [1.0], "need 2 or more"),
-    ([], [], "need 2 or more"),
-    ([2.0, 2.0], [1.0, 3.0], "need 2 or more"),
-], ids=["zero-y", "negative-x", "nan-y", "inf-x", "unequal-lengths",
-        "one-point", "empty", "equal-x"])
-def test_loglog_slope_rejects_bad_points(xs, ys, message):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=message):
-            loglog_slope(xs, ys)
 
 
 class TestDecomposition:
@@ -598,7 +564,7 @@ class TestGridKernel:
         region = FrequencyRegion("vertical_segment", 0.1, (-1, 1), 5)
         M1, M2 = estimate_majorants(net, region)
         assert type(M1) is float and type(M2) is float
-        for rep in sweep_region(net.scaled(100.0), region, M1, M2)[0]:
+        for rep in sweep_region(_scaled(net, 100.0), region, M1, M2)[0]:
             assert type(rep.s) is complex
             for v in (rep.measured, rep.effective_connectivity, rep.bound):
                 assert type(v) is float
@@ -956,7 +922,7 @@ class TestBlockNorm:
         assert [c for c in full.call_args_list if c.args[0].shape == (n, n)] == []
         assert all(r.bound_valid for row in rows for r in row.reports)
         for row in rows:
-            scaled = net.scaled(row.alpha)
+            scaled = _scaled(net, row.alpha)
             for r in row.reports[::4]:
                 X = eval_T(scaled, r.s) - net.gbar(r.s) / n
                 assert r.measured == pytest.approx(np.linalg.norm(X, 2), rel=1e-13)
