@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +172,13 @@ def _write_csv(path: Path, header: str, rows, provenance: list[str]) -> None:
     _write_text(path, chain([f"# {p}\n" for p in provenance], [header + "\n"], lines))
 
 
+def _float_rows(block: np.ndarray, row: str) -> str:
+    """A float64 block as CSV text: row, the %r template of one row, per block row."""
+    if block.dtype != np.float64:  # then tolist() gives floats, and "%r" % x is repr(x)
+        raise TypeError(f"sample blocks are float64, not {block.dtype}")
+    return row * len(block) % tuple(block.ravel().tolist())
+
+
 def _provenance(digest: str, seed: int) -> list[str]:
     return [f"tool=netcoh {__version__}", f"config_sha256={digest}",
             f"seed={seed}"]
@@ -220,18 +227,15 @@ def cmd_simulate(cfg, digest, seed, out_dir, config_dir):
     res = timedomain.coherence_experiment(
         net, sig, _get(sim, "t_end", float, 20.0), dt,
         inertias=_get(sim, "inertias", [float], None))
-    meta = _provenance(digest, seed) + [
-        f"dt={dt}", f"input_family={sig.family}", f"input_alpha={sig.alpha}",
-    ]
-    header = "t," + ",".join(f"y_{i + 1}" for i in range(net.n)) + ",ybar,ycoi"
+    head = [f"# {p}\n" for p in _provenance(digest, seed) + [
+        f"dt={dt}", f"input_family={sig.family}", f"input_alpha={sig.alpha}"]]
+    head.append("t," + ",".join(f"y_{i + 1}" for i in range(net.n)) + ",ybar,ycoi\n")
     coi = [] if res.coi_output is None else [res.coi_output]
     cols = [res.times, *res.node_outputs, res.coherent_output, *coi]
-    rows = chain.from_iterable(
-        np.column_stack([c[lo:lo + _SIM_BLOCK_ROWS] for c in cols]).tolist()
-        for lo in range(0, len(res.times), _SIM_BLOCK_ROWS))
-    if not coi:
-        rows = map(list.__add__, rows, repeat([None]))  # an empty ycoi cell
-    _write_csv(out_dir / "simulation.csv", header, rows, meta)
+    row = ",".join(["%r"] * len(cols)) + ("\n" if coi else ",\n")  # else an empty ycoi
+    blocks = (_float_rows(np.column_stack([c[lo:lo + _SIM_BLOCK_ROWS] for c in cols]), row)
+              for lo in range(0, len(res.times), _SIM_BLOCK_ROWS))
+    _write_text(out_dir / "simulation.csv", chain(head, blocks))
     return ["simulation.csv"]
 
 

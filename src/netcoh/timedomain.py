@@ -152,8 +152,8 @@ def simulate(model: StateSpaceModel, input_signal: InputSignal,
     max_re = np.linalg.eigvals(A).real.max(initial=-math.inf)
     if max_re > _UNSTABLE_TOL:
         raise UnstableModelError(f"state matrix has eigenvalue with Re = {max_re:.3g}")
-    if dt <= 0 or t_end <= dt:
-        raise ValueError("need dt > 0 and t_end > dt")
+    if dt <= 0 or t_end <= dt or not math.isfinite(t_end / dt):
+        raise ValueError("need dt > 0, t_end > dt and a finite t_end / dt")
 
     steps = int(round(t_end / dt))
     times = np.arange(steps + 1) * float(dt)  # float64 for an int dt too

@@ -211,6 +211,17 @@ class TestSimulate:
         assert got == want
 
     @pytest.mark.parametrize("inertias", [None, [1.0, 2.0, 1.2]])
+    def test_rows_skip_the_cell_table(self, tmp_path, monkeypatch, inertias):
+        # the samples are float64 blocks, formatted by one template per block:
+        # the per-cell type table of the other CSVs is never consulted
+        def no_table(*args):
+            raise AssertionError("simulate consulted the per-cell table")
+
+        monkeypatch.setattr(cli, "_cell", no_table)
+        got, want = self._rows_and_oracle(tmp_path, 1.0, 0.1, inertias)
+        assert got == want
+
+    @pytest.mark.parametrize("inertias", [None, [1.0, 2.0, 1.2]])
     @pytest.mark.parametrize("rows", [4 - 1, 4, 4 + 1, 2 * 4 + 1])
     def test_block_boundaries_keep_rows(self, tmp_path, monkeypatch, rows, inertias):
         # rows are made from the sample arrays 4 at a time: a short last
@@ -806,6 +817,11 @@ class TestErrorsAndReproducibility:
             "den_0": {"kind": "point", "value": 1e307},
             "den_1": {"kind": "point", "value": 1.0}}},
             "sweep": {"sizes": [4], "trials": 2}}, 3, "SingularAtS"),
+        # t_end / dt overflows to inf: no step count, refused before sampling
+        ("simulate", {"net": SWING_NET, "simulate": {"t_end": 1e308, "dt": 1e-300}},
+         2, "config"),
+        ("freqdep", {"net": INTEGRATOR_NET, "simulate": {"t_end": 1e308, "dt": 1e-300}},
+         2, "config"),
     ], ids=["unknown-builder", "infinite-coeff", "dt-ge-t_end", "size-0",
             "sizes-not-increasing", "negative-inertia", "zero-inertia",
             "zero-mass-normal", "custom-coefficient-gap", "float-resolution",
@@ -829,7 +845,8 @@ class TestErrorsAndReproducibility:
             "unused-ensemble-param", "rect-grid-zero-sigma", "uniform-lo-ge-hi",
             "normal-negative-sd", "sinusoid-without-alpha", "freqdep-zero-alpha",
             "uniform-width-overflows", "overflowing-node-values", "improper-sampled-node",
-            "monte-carlo-ghat-overflow", "monte-carlo-ghat-sum-overflow"])
+            "monte-carlo-ghat-overflow", "monte-carlo-ghat-sum-overflow",
+            "step-count-overflows", "freqdep-step-count-overflows"])
     def test_bad_value_documented_exit(self, tmp_path, capsys, monkeypatch,
                                        command, cfg, code, kind):
         # no --out, so the config's output_dir is read; the default is cwd
@@ -1007,6 +1024,24 @@ def _write_csv_before_streaming(path, header, rows, provenance):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _cmd_simulate_before_blocks(cfg, digest, seed, out_dir, config_dir):
+    """simulate with the per-cell oracle writer: every sample a Python float
+    cell, and None for the empty ycoi cell of a run without inertias."""
+    net, sim = _build_net(cfg, config_dir), cfg["simulate"]
+    sig = cli._build_input(cfg, net.n)
+    res = timedomain.coherence_experiment(net, sig, sim["t_end"], sim["dt"],
+                                          inertias=sim.get("inertias"))
+    meta = cli._provenance(digest, seed) + [
+        f"dt={sim['dt']}", f"input_family={sig.family}", f"input_alpha={sig.alpha}"]
+    header = "t," + ",".join(f"y_{i + 1}" for i in range(net.n)) + ",ybar,ycoi"
+    rows = [[float(t), *(float(y) for y in res.node_outputs[:, k]),
+             float(res.coherent_output[k]),
+             None if res.coi_output is None else float(res.coi_output[k])]
+            for k, t in enumerate(res.times)]
+    _write_csv_before_streaming(out_dir / "simulation.csv", header, rows, meta)
+    return ["simulation.csv"]
+
+
 class TestCsvWriter:
     def test_cell_bytes(self, tmp_path):
         path = tmp_path / "cells.csv"
@@ -1031,7 +1066,10 @@ class TestCsvWriter:
         command, cfg, names = CSV_RUNS[k]
         path = write_cfg(tmp_path, cfg)
         assert run(command, path, seed=4, out=str(tmp_path / "new")) == 0
+        # simulate writes its float64 blocks without _write_csv: its oracle
+        # writes the same result's rows through the per-cell writer before
         monkeypatch.setattr(cli, "_write_csv", _write_csv_before_streaming)
+        monkeypatch.setitem(cli._COMMANDS, "simulate", _cmd_simulate_before_blocks)
         assert run(command, path, seed=4, out=str(tmp_path / "old")) == 0
         for name in names:
             new = (tmp_path / "new" / name).read_bytes()
@@ -1060,6 +1098,32 @@ class TestCsvWriter:
             cli._write_csv(path, "t,y", rows(), ["seed=1"])
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_float_block_cells_are_reprs(self, tmp_path):
+        floats = [-0.0, 1e-05, 1e16, 1e15, 5e-324, 0.1 + 0.2,
+                  float("nan"), float("inf"), float("-inf")]
+        path = tmp_path / "floats.csv"
+        block = np.array(floats).reshape(3, 3)
+        cli._write_text(path, [cli._float_rows(block, "%r,%r,%r\n"),
+                               cli._float_rows(block[:, :1], "%r,\n")])
+        lines = path.read_text().split("\n")
+        assert lines[:3] == [",".join(repr(x) for x in floats[k:k + 3])
+                             for k in (0, 3, 6)]
+        assert lines[3:] == [repr(x) + "," for x in floats[::3]] + [""]
+        assert lines[:3] == ["-0.0,1e-05,1e+16",
+                             "1000000000000000.0,5e-324,0.30000000000000004",
+                             "nan,inf,-inf"]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.complex128, object])
+    def test_non_float64_blocks_raise(self, tmp_path, dtype):
+        bad = np.ones((2, 2), dtype=dtype)
+        with pytest.raises(TypeError, match=np.dtype(dtype).name):
+            cli._float_rows(bad, "%r,%r\n")
+        # a float64 block first: the bad one still leaves no file behind
+        blocks = (cli._float_rows(b, "%r,%r\n") for b in (np.ones((2, 2)), bad))
+        with pytest.raises(TypeError, match=np.dtype(dtype).name):
+            cli._write_text(tmp_path / "simulation.csv", blocks)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,name", [("simulate", "simulation.csv"),
                                               ("aggregate", "aggregate.txt")])
